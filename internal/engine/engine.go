@@ -325,7 +325,8 @@ type Engine struct {
 	fleet    *Fleet
 	power    *power.Ledger
 	ref      []*hw.Device
-	injector *faults.Injector // nil without a fault plan
+	injector *faults.Injector  // nil without a fault plan
+	devScope map[string]string // registry scope "device/<id>" per reference device
 	queue    chan *Job
 	wg       sync.WaitGroup
 
@@ -371,12 +372,16 @@ func New(cfg Config) (*Engine, error) {
 			ledger.Cap(), ledger.IdleWatts())
 	}
 	e := &Engine{
-		cfg:   cfg,
-		fleet: NewFleet(ref),
-		power: ledger,
-		ref:   ref,
-		queue: make(chan *Job, cfg.QueueDepth),
-		lanes: make([]sim.Time, cfg.Workers),
+		cfg:      cfg,
+		fleet:    NewFleet(ref),
+		power:    ledger,
+		ref:      ref,
+		devScope: make(map[string]string, len(ref)),
+		queue:    make(chan *Job, cfg.QueueDepth),
+		lanes:    make([]sim.Time, cfg.Workers),
+	}
+	for _, d := range ref {
+		e.devScope[d.ID] = "device/" + d.ID
 	}
 	e.fleet.AttachPower(e.power)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
@@ -442,7 +447,7 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 				reg.Add(scope, "tasks-running", -1)
 				reg.Add(scope, "tasks-completed", 1)
 				reg.Add(scope, "energy-J", float64(rec.EnergyJ))
-				dev := "device/" + rec.Device
+				dev := e.deviceScope(rec.Device)
 				reg.Add(dev, "tasks-completed", 1)
 				reg.Add(dev, "energy-J", float64(rec.EnergyJ))
 				reg.Add(dev, "busy-s", sim.ToSeconds(rec.End-rec.Start))
@@ -456,7 +461,7 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 				reg.Add(scope, "device-lost", 1)
 				reg.Add(scope, "tasks-revoked", float64(revoked))
 				reg.Add(scope, "tasks-restored", float64(restored))
-				reg.Add("device/"+deviceID, "lost", 1)
+				reg.Add(e.deviceScope(deviceID), "lost", 1)
 				reg.Add("faults", "tasks-revoked", float64(revoked))
 				reg.Add("faults", "tasks-restored", float64(restored))
 			},
@@ -468,12 +473,12 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 			Straggler: func(_, deviceID string, _, _ sim.Time) {
 				reg.Add(scope, "stragglers-detected", 1)
 				reg.Add("tail", "stragglers-detected", 1)
-				reg.Add("device/"+deviceID, "stragglers", 1)
+				reg.Add(e.deviceScope(deviceID), "stragglers", 1)
 			},
 			Hedged: func(_, _, to string, _ sim.Time) {
 				reg.Add(scope, "hedges-launched", 1)
 				reg.Add("tail", "hedges-launched", 1)
-				reg.Add("device/"+to, "hedges-hosted", 1)
+				reg.Add(e.deviceScope(to), "hedges-hosted", 1)
 			},
 			HedgeResolved: func(_, _ string, hedgeWon bool, wastedJ energy.Joules, _, _ sim.Time) {
 				if hedgeWon {
@@ -492,6 +497,15 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.wireBus(j)
 	e.wireFaults(j)
 	return j, nil
+}
+
+// deviceScope is the registry scope of a device, built once per engine
+// for every reference device rather than per finished task.
+func (e *Engine) deviceScope(id string) string {
+	if s, ok := e.devScope[id]; ok {
+		return s
+	}
+	return "device/" + id
 }
 
 // wireBus registers the hooks that publish the job's lifecycle to the
@@ -785,7 +799,7 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 			reg.Set("power", "cap-W", float64(e.power.Cap()))
 		}
 		for _, d := range e.ref {
-			reg.Set("device/"+d.ID, "draw-W", float64(e.power.DrawOf(d.ID)))
+			reg.Set(e.devScope[d.ID], "draw-W", float64(e.power.DrawOf(d.ID)))
 		}
 	}
 	j.finish(res, err)

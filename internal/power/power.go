@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"legato/internal/energy"
 	"legato/internal/hw"
@@ -155,14 +156,17 @@ func SDCProbability(level int) float64 {
 // the static (idle) draw of every healthy device plus the dynamic draw of
 // every admitted task, across all concurrently executing jobs. It is the
 // sibling of the engine's core-admission ledger and is safe for concurrent
-// use.
+// use. OperatingPoint, read by every runtime on every dispatch round, takes
+// no lock: each device's prescribed state sits in an atomic slot of a map
+// whose keys are fixed at construction. Every write happens under mu.
 type Ledger struct {
 	mu   sync.Mutex
 	capW energy.Watts
 	gov  Kind
 
+	order   []string // device IDs in construction order: the governor's tie-break
 	ladders map[string]Ladder
-	point   map[string]int // governor-prescribed state index per device
+	point   map[string]*atomic.Int32 // governor-prescribed state index per device
 	idleW   map[string]energy.Watts
 	drawW   map[string]energy.Watts // granted dynamic draw per device
 	lost    map[string]bool
@@ -183,8 +187,9 @@ func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 	l := &Ledger{
 		capW:    capW,
 		gov:     gov,
+		order:   make([]string, 0, len(devices)),
 		ladders: make(map[string]Ladder, len(devices)),
-		point:   make(map[string]int, len(devices)),
+		point:   make(map[string]*atomic.Int32, len(devices)),
 		idleW:   make(map[string]energy.Watts, len(devices)),
 		drawW:   make(map[string]energy.Watts, len(devices)),
 		lost:    make(map[string]bool),
@@ -194,8 +199,9 @@ func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 		l.capW = math.Inf(1)
 	}
 	for _, d := range devices {
+		l.order = append(l.order, d.ID)
+		l.point[d.ID] = new(atomic.Int32)
 		l.ladders[d.ID] = LadderFor(d.ID, d.Spec)
-		l.point[d.ID] = 0
 		l.idleW[d.ID] = d.Spec.IdleWatts
 		l.idleTotal += d.Spec.IdleWatts
 	}
@@ -281,9 +287,10 @@ func (l *Ledger) Rescales() uint64 {
 // OperatingPoint returns the DVFS state index the governor currently
 // prescribes for a device (0 = nominal, also for unknown devices).
 func (l *Ledger) OperatingPoint(deviceID string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.point[deviceID]
+	if p, ok := l.point[deviceID]; ok {
+		return int(p.Load())
+	}
+	return 0
 }
 
 // Ladder returns a device's resolved DVFS ladder.
@@ -393,17 +400,19 @@ func (l *Ledger) wakeLocked() {
 
 // throttleLocked steps a device one rung down its DVFS ladder; if the
 // device is already at the floor, the healthy device with the largest
-// dynamic draw that still has a lower rung is stepped instead.
+// dynamic draw that still has a lower rung is stepped instead (among
+// devices ever drawn on; ties go to the earliest in construction order).
 func (l *Ledger) throttleLocked(deviceID string) {
 	if l.stepDownLocked(deviceID) {
 		return
 	}
 	best, bestDraw := "", energy.Watts(-1)
-	for id, w := range l.drawW {
-		if id == deviceID || l.lost[id] {
+	for _, id := range l.order {
+		w, drawn := l.drawW[id]
+		if !drawn || id == deviceID || l.lost[id] {
 			continue
 		}
-		if l.point[id] < len(l.ladders[id].Points)-1 && w > bestDraw {
+		if int(l.point[id].Load()) < len(l.ladders[id].Points)-1 && w > bestDraw {
 			best, bestDraw = id, w
 		}
 	}
@@ -418,29 +427,30 @@ func (l *Ledger) stepDownLocked(deviceID string) bool {
 		return false
 	}
 	ladder, ok := l.ladders[deviceID]
-	if !ok || l.point[deviceID] >= len(ladder.Points)-1 {
+	if !ok || int(l.point[deviceID].Load()) >= len(ladder.Points)-1 {
 		return false
 	}
-	l.point[deviceID]++
+	l.point[deviceID].Add(1)
 	l.rescales++
 	return true
 }
 
 // unthrottleLocked steps the most-throttled healthy device one rung back
 // toward nominal once the draw has relaxed below 70% of the cap —
-// hysteresis so the ladder does not flap on every release.
+// hysteresis so the ladder does not flap on every release. Ties go to the
+// earliest device in construction order.
 func (l *Ledger) unthrottleLocked() {
 	if l.idleTotal+l.dynDraw > 0.7*l.capW {
 		return
 	}
-	best, depth := "", 0
-	for id, p := range l.point {
-		if !l.lost[id] && p > depth {
+	best, depth := "", int32(0)
+	for _, id := range l.order {
+		if p := l.point[id].Load(); !l.lost[id] && p > depth {
 			best, depth = id, p
 		}
 	}
 	if best != "" {
-		l.point[best]--
+		l.point[best].Add(-1)
 		l.rescales++
 	}
 }

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"legato/internal/energy"
@@ -220,4 +221,73 @@ func TestFleetPeakWatts(t *testing.T) {
 	if got := FleetPeakWatts(devs); got != energy.Watts(75) {
 		t.Fatalf("fleet peak = %v, want 75 (50 + 25)", got)
 	}
+}
+
+// TestGovernorTieBreakConstructionOrder checks that throttling and
+// unthrottling choose among equally-drawn (or equally-throttled) devices
+// by construction order, never by map iteration order.
+func TestGovernorTieBreakConstructionOrder(t *testing.T) {
+	base := testDevices(t)
+	se := sim.NewEngine()
+	var devs []*hw.Device
+	for _, id := range []string{"cpu3", "cpu1", "cpu2"} {
+		devs = append(devs, hw.NewDevice(se, id, base[0].Spec))
+	}
+	devs = append(devs, base[1]) // fpga0: a single point, never throttled
+	for trial := 0; trial < 50; trial++ {
+		l := NewLedger(80, devs, PackAndThrottle)
+		for _, id := range []string{"cpu1", "cpu2", "cpu3"} {
+			if !l.TryDraw(id, 10) {
+				t.Fatal("draw refused under the cap")
+			}
+		}
+		// fpga0 has no lower rung: the refusal steps a sibling down, and the
+		// three equal draws tie.
+		if l.TryDraw("fpga0", 20) {
+			t.Fatal("draw over cap granted")
+		}
+		if got := []int{l.OperatingPoint("cpu3"), l.OperatingPoint("cpu1"), l.OperatingPoint("cpu2")}; got[0] != 1 || got[1] != 0 || got[2] != 0 {
+			t.Fatalf("trial %d: operating points %v, want the first-built cpu3 throttled", trial, got)
+		}
+		if l.TryDraw("fpga0", 20) {
+			t.Fatal("draw over cap granted")
+		}
+		if l.OperatingPoint("cpu1") != 1 || l.OperatingPoint("cpu2") != 0 {
+			t.Fatalf("trial %d: second throttle did not take cpu1", trial)
+		}
+		// Relaxing the draw below 70% of the cap restores the first-built of
+		// the two throttled devices first.
+		l.ReleaseDraw("cpu2", 10)
+		if l.OperatingPoint("cpu3") != 0 || l.OperatingPoint("cpu1") != 1 {
+			t.Fatalf("trial %d: unthrottle did not restore cpu3 first", trial)
+		}
+	}
+}
+
+// TestOperatingPointConcurrentWithGovernor reads operating points without
+// the ledger mutex while other goroutines drive the governor through
+// refusals and releases. Run under -race.
+func TestOperatingPointConcurrentWithGovernor(t *testing.T) {
+	devs := testDevices(t)
+	l := NewLedger(40, devs, PackAndThrottle)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if g%2 == 0 {
+					if l.TryDraw("cpu0", 20) {
+						l.ReleaseDraw("cpu0", 20)
+					}
+					continue
+				}
+				if p := l.OperatingPoint("cpu0"); p < 0 || p > 1 {
+					t.Errorf("operating point %d outside the two-point ladder", p)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -666,15 +666,17 @@ func (r *Runtime) deadlineFire(n *node) {
 	}
 }
 
-// enqueue adds a ready node, keeping the queue priority-sorted.
+// enqueue inserts a ready node at its place in the queue's order:
+// priority descending, then submission id ascending.
 func (r *Runtime) enqueue(n *node) {
-	r.ready = append(r.ready, n)
-	sort.SliceStable(r.ready, func(i, j int) bool {
-		if r.ready[i].task.Priority != r.ready[j].task.Priority {
-			return r.ready[i].task.Priority > r.ready[j].task.Priority
-		}
-		return r.ready[i].id < r.ready[j].id
+	p := n.task.Priority
+	i := sort.Search(len(r.ready), func(i int) bool {
+		m := r.ready[i]
+		return m.task.Priority < p || (m.task.Priority == p && m.id > n.id)
 	})
+	r.ready = append(r.ready, nil)
+	copy(r.ready[i+1:], r.ready[i:])
+	r.ready[i] = n
 }
 
 // unready removes a node from the ready queue if present.
@@ -697,7 +699,7 @@ func (r *Runtime) inReady(n *node) bool {
 }
 
 // compatible reports whether dev can run t.
-func compatible(t Task, dev *hw.Device) bool {
+func compatible(t *Task, dev *hw.Device) bool {
 	if !dev.Healthy() {
 		return false
 	}
@@ -708,7 +710,7 @@ func compatible(t Task, dev *hw.Device) bool {
 }
 
 // classMatch reports whether t accepts the given device class.
-func classMatch(t Task, c hw.Class) bool {
+func classMatch(t *Task, c hw.Class) bool {
 	if len(t.Targets) == 0 {
 		return true
 	}
@@ -722,7 +724,7 @@ func classMatch(t Task, c hw.Class) bool {
 
 // score returns the policy objective for running t on dev now (lower is
 // better); ok=false if the device cannot take the task at this instant.
-func (r *Runtime) score(t Task, dev *hw.Device) (float64, bool) {
+func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 	if !compatible(t, dev) {
 		return 0, false
 	}
@@ -776,7 +778,7 @@ func (r *Runtime) applyOperatingPoints() {
 
 // taskDrawW is the dynamic draw a task would hold on dev at its current
 // operating point, shrunk by the task's undervolt level.
-func taskDrawW(t Task, dev *hw.Device) energy.Watts {
+func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
 	return dev.DynamicWatts(t.Cores) * power.UndervoltPowerScale(t.Undervolt)
 }
 
@@ -787,24 +789,30 @@ func (r *Runtime) dispatch() {
 		assigned := false
 		for qi := 0; qi < len(r.ready); qi++ {
 			n := r.ready[qi]
+			t := &n.task
 			best := -1
 			bestScore := 0.0
 			for di, dev := range r.devices {
-				if r.adm != nil && r.adm.Capacity(dev.ID) < n.task.Cores {
+				s, ok := r.score(t, dev)
+				if !ok || (best != -1 && s >= bestScore) {
+					continue
+				}
+				// Only a device that would win pays for the shared-ledger
+				// query. Both filters are side-effect-free, so asking in this
+				// order picks the same device as asking Capacity first.
+				if r.adm != nil && r.adm.Capacity(dev.ID) < t.Cores {
 					// The fleet behind this device lost the capacity to ever
 					// fit the task (crash or degrade) — permanently unfit,
 					// not a transient stall.
 					continue
 				}
-				if s, ok := r.score(n.task, dev); ok && (best == -1 || s < bestScore) {
-					best, bestScore = di, s
-				}
+				best, bestScore = di, s
 			}
 			if best == -1 {
 				continue // no device free for this task right now
 			}
 			dev := r.devices[best]
-			if r.adm != nil && !r.adm.TryAcquire(dev.ID, n.task.Cores) {
+			if r.adm != nil && !r.adm.TryAcquire(dev.ID, t.Cores) {
 				// The fleet capacity behind this device is occupied by a
 				// sibling job; leave the task queued and note the stall so
 				// RunContext knows to wait for a global release.
@@ -813,18 +821,18 @@ func (r *Runtime) dispatch() {
 			}
 			watts := energy.Watts(0)
 			if r.pow != nil {
-				watts = taskDrawW(n.task, dev)
+				watts = taskDrawW(t, dev)
 				if !r.pow.TryDraw(dev.ID, watts) {
 					// The placement fits the core budget but not the watt
 					// budget: give the cores back and park. A PackAndThrottle
 					// governor may have stepped the device down, so the next
 					// dispatch round re-scores at the cheaper point.
 					if r.adm != nil {
-						r.adm.Release(dev.ID, n.task.Cores)
+						r.adm.Release(dev.ID, t.Cores)
 					}
 					for _, h := range r.hooks {
 						if h.PowerRefused != nil {
-							h.PowerRefused(n.task.Name, dev.ID, watts, r.eng.Now())
+							h.PowerRefused(t.Name, dev.ID, watts, r.eng.Now())
 						}
 					}
 					r.blocked = true
@@ -833,7 +841,7 @@ func (r *Runtime) dispatch() {
 				}
 				for _, h := range r.hooks {
 					if h.PowerAdmitted != nil {
-						h.PowerAdmitted(n.task.Name, dev.ID, watts, r.eng.Now())
+						h.PowerAdmitted(t.Name, dev.ID, watts, r.eng.Now())
 					}
 				}
 			}
@@ -853,7 +861,7 @@ func (r *Runtime) dispatch() {
 // and the held-grant maps advance. The caller has already won global
 // admission for the cores and watts.
 func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool) *exec {
-	t := n.task
+	t := &n.task
 	if r.adm != nil {
 		r.held[dev.ID] += t.Cores
 	}
@@ -885,7 +893,7 @@ func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool
 // global admission for the task's cores (and watts of draw) when shared
 // ledgers are installed.
 func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
-	t := n.task
+	t := &n.task
 	if err := dev.Acquire(t.Cores); err != nil {
 		// Raced with another assignment; requeue and give back admission.
 		if r.adm != nil {
@@ -970,23 +978,24 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	// classes when it can and falls back to a same-class sibling only when
 	// no foreign class fits. Scoring already includes witnessed suspicion,
 	// so among foreign devices a known-degraded one loses to a clean one.
+	t := &n.task
 	best, foreign := -1, false
 	bestScore := 0.0
 	for di, dev := range r.devices {
 		if dev.ID == ex.dev.ID {
 			continue
 		}
-		if r.adm != nil && r.adm.Capacity(dev.ID) < n.task.Cores {
-			continue
-		}
-		s, ok := r.score(n.task, dev)
+		s, ok := r.score(t, dev)
 		if !ok {
 			continue
 		}
 		df := dev.Spec.Class != ex.dev.Spec.Class
-		if best == -1 || (df && !foreign) || (df == foreign && s < bestScore) {
-			best, bestScore, foreign = di, s, df
+		wins := best == -1 || (df && !foreign) || (df == foreign && s < bestScore)
+		// As in dispatch, the ledger is asked only about a would-be winner.
+		if !wins || (r.adm != nil && r.adm.Capacity(dev.ID) < t.Cores) {
+			continue
 		}
+		best, bestScore, foreign = di, s, df
 	}
 	rearm := func() {
 		// No replica this round (no device, or admission refused). Re-check
@@ -1000,13 +1009,13 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		return
 	}
 	dev := r.devices[best]
-	if r.adm != nil && !r.adm.TryAcquire(dev.ID, n.task.Cores) {
+	if r.adm != nil && !r.adm.TryAcquire(dev.ID, t.Cores) {
 		rearm()
 		return
 	}
 	watts := energy.Watts(0)
 	if r.pow != nil {
-		watts = taskDrawW(n.task, dev)
+		watts = taskDrawW(t, dev)
 		if !r.pow.TryDraw(dev.ID, watts) {
 			// Hedges pay their way under the power cap: a replica that does
 			// not fit the watt budget is denied, never force-admitted.
@@ -1052,7 +1061,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 // burned energy accounted as hedge waste), the SDC oracle is consulted on
 // the committed record, and the node either finishes or re-queues.
 func (r *Runtime) complete(n *node, ex *exec) {
-	t := n.task
+	t := &n.task
 	now := r.eng.Now()
 	delete(r.running, n)
 	r.releaseExec(ex)
@@ -1505,6 +1514,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		HedgeWastedJ:   r.hedgeWastedJ,
 		DeadlineMisses: r.deadlineMisses,
 		TasksShed:      r.shedTasks,
+		Records:        make([]Record, 0, len(r.nodes)),
 	}
 	for _, n := range r.nodes {
 		res.Records = append(res.Records, n.record)
@@ -1526,7 +1536,7 @@ func (r *Runtime) stuckErr(n *node) error {
 	}
 	lost := false
 	for _, d := range r.devices {
-		if d.Spec.Cores < cores || !classMatch(n.task, d.Spec.Class) {
+		if d.Spec.Cores < cores || !classMatch(&n.task, d.Spec.Class) {
 			continue
 		}
 		if !d.Healthy() || (r.adm != nil && r.adm.Capacity(d.ID) < cores) {

@@ -31,18 +31,33 @@ func (s Span) Duration() sim.Time { return s.End - s.Start }
 // Tracer records spans and counters against an engine's clock. A Tracer is
 // safe for concurrent use, so per-job traces can merge into a session
 // trace while other jobs are still recording.
+//
+// Closed spans live in segments that grow from minSegment to maxSegment
+// spans and are never regrown once allocated, so recording never copies
+// earlier spans. Merge appends the other tracer's segments by reference,
+// each clipped to its length and capacity, so neither side can append
+// into a segment the other can read.
 type Tracer struct {
 	mu       sync.Mutex
 	eng      *sim.Engine
-	spans    []Span
+	segs     [][]Span // closed spans in completion order
+	nspans   int      // spans across segs
+	nextSeg  int      // capacity of the next segment this tracer allocates
 	open     map[int]*Span
 	nextID   int
 	counters map[string]float64
 }
 
+// Segment capacities: small for short-lived job tracers, bounded so one
+// segment never costs more than maxSegment spans of slack.
+const (
+	minSegment = 8
+	maxSegment = 1024
+)
+
 // New creates a tracer.
 func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, open: make(map[int]*Span), counters: make(map[string]float64)}
+	return &Tracer{eng: eng, nextSeg: minSegment, open: make(map[int]*Span), counters: make(map[string]float64)}
 }
 
 // Begin opens a span and returns its handle.
@@ -66,7 +81,30 @@ func (t *Tracer) End(id int) {
 	}
 	delete(t.open, id)
 	s.End = t.eng.Now()
-	t.spans = append(t.spans, *s)
+	t.appendLocked(*s)
+}
+
+// appendLocked records one closed span, opening a new segment when the
+// last one is full (or was merged in from another tracer).
+func (t *Tracer) appendLocked(s Span) {
+	if k := len(t.segs) - 1; k >= 0 && len(t.segs[k]) < cap(t.segs[k]) {
+		t.segs[k] = append(t.segs[k], s)
+	} else {
+		seg := make([]Span, 1, t.nextSeg)
+		seg[0] = s
+		t.segs = append(t.segs, seg)
+		t.nextSeg = min(2*t.nextSeg, maxSegment)
+	}
+	t.nspans++
+}
+
+// eachLocked calls fn on every closed span in completion order; t.mu is held.
+func (t *Tracer) eachLocked(fn func(*Span)) {
+	for _, seg := range t.segs {
+		for i := range seg {
+			fn(&seg[i])
+		}
+	}
 }
 
 // Count adds delta to a named counter.
@@ -87,7 +125,11 @@ func (t *Tracer) Counter(name string) float64 {
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	out := make([]Span, 0, t.nspans)
+	for _, seg := range t.segs {
+		out = append(out, seg...)
+	}
+	return out
 }
 
 // Add records an already-closed span with explicit timestamps — the path
@@ -96,7 +138,7 @@ func (t *Tracer) Spans() []Span {
 func (t *Tracer) Add(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = append(t.spans, s)
+	t.appendLocked(s)
 }
 
 // Counters returns a copy of every named counter.
@@ -113,13 +155,19 @@ func (t *Tracer) Counters() map[string]float64 {
 // Merge folds another tracer's closed spans and counters into t. Jobs
 // record against their own virtual clock; merging preserves their
 // job-relative timestamps, so merged spans are comparable per resource,
-// not across jobs.
+// not across jobs. The spans are shared, not copied: t takes the other
+// tracer's segments clipped to their current length, so spans the other
+// tracer records afterwards never show up in t.
 func (t *Tracer) Merge(other *Tracer) {
 	if other == nil || other == t {
 		return
 	}
 	other.mu.Lock()
-	spans := append([]Span(nil), other.spans...)
+	segs := make([][]Span, len(other.segs))
+	for i, seg := range other.segs {
+		segs[i] = seg[:len(seg):len(seg)]
+	}
+	n := other.nspans
 	counters := make(map[string]float64, len(other.counters))
 	for k, v := range other.counters {
 		counters[k] = v
@@ -128,7 +176,8 @@ func (t *Tracer) Merge(other *Tracer) {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = append(t.spans, spans...)
+	t.segs = append(t.segs, segs...)
+	t.nspans += n
 	for k, v := range counters {
 		t.counters[k] += v
 	}
@@ -139,13 +188,15 @@ func (t *Tracer) Merge(other *Tracer) {
 // e.g. the fleet draw-vs-time curve from "power" spans.
 func (t *Tracer) Series(category string) (xs, ys []float64) {
 	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
+	var spans []Span
+	t.eachLocked(func(s *Span) {
+		if s.Category == category {
+			spans = append(spans, *s)
+		}
+	})
 	t.mu.Unlock()
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	for _, s := range spans {
-		if s.Category != category {
-			continue
-		}
 		xs = append(xs, sim.ToSeconds(s.Start))
 		ys = append(ys, s.Value)
 	}
@@ -157,9 +208,7 @@ func (t *Tracer) ByCategory() map[string]sim.Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[string]sim.Time)
-	for _, s := range t.spans {
-		out[s.Category] += s.Duration()
-	}
+	t.eachLocked(func(s *Span) { out[s.Category] += s.Duration() })
 	return out
 }
 

@@ -173,3 +173,200 @@ func TestSummary(t *testing.T) {
 		t.Fatal("summary missing category")
 	}
 }
+
+// jobSpans is a deterministic batch of n spans for job k, mixing
+// categories and timestamps that are not monotone in recording order.
+func jobSpans(k, n int) []Span {
+	cats := []string{"task", "power", "queue", "hedge"}
+	out := make([]Span, n)
+	for i := range out {
+		at := sim.Time((i*37+k*11)%97) * 1000
+		out[i] = Span{
+			Name: fmt.Sprintf("j%d/t%d", k, i), Category: cats[(i+k)%len(cats)],
+			Resource: fmt.Sprintf("dev%d", i%5), Start: at, End: at + sim.Time(i%7)*100,
+			Value: float64(i) / 4,
+		}
+	}
+	return out
+}
+
+// TestMergeConcatenatesInOrder merges jobs of sizes around the segment
+// boundaries into a session that also records spans of its own, and checks
+// that Spans, Series, ByCategory and ExportParaver match a tracer that got
+// the same spans through Add alone.
+func TestMergeConcatenatesInOrder(t *testing.T) {
+	session, flat := New(sim.NewEngine()), New(sim.NewEngine())
+	for k, n := range []int{1, 7, 8, 9, 0, 300, 1024, 2100} {
+		own := Span{Name: fmt.Sprintf("session%d", k), Category: "task", Resource: "fleet", Start: sim.Time(k)}
+		session.Add(own)
+		flat.Add(own)
+		job := New(sim.NewEngine())
+		for _, s := range jobSpans(k, n) {
+			job.Add(s)
+			flat.Add(s)
+		}
+		job.Count("jobs", 1)
+		flat.Count("jobs", 1)
+		session.Merge(job)
+	}
+	got, want := session.Spans(), flat.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("merged %d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for _, cat := range []string{"task", "power", "queue", "hedge", "none"} {
+		gx, gy := session.Series(cat)
+		wx, wy := flat.Series(cat)
+		if fmt.Sprint(gx, gy) != fmt.Sprint(wx, wy) {
+			t.Fatalf("Series(%q) differs after merge", cat)
+		}
+	}
+	if g, w := fmt.Sprint(session.ByCategory()), fmt.Sprint(flat.ByCategory()); g != w {
+		t.Fatalf("ByCategory = %s, want %s", g, w)
+	}
+	if g, w := session.ExportParaver(), flat.ExportParaver(); g != w {
+		t.Fatal("ExportParaver differs after merge")
+	}
+}
+
+// TestMergedTracerKeepsRecording checks that spans a tracer records after
+// it was merged stay out of the session, even when they land in the spare
+// capacity of a segment the session shares, and that the session's own
+// later spans never overwrite them.
+func TestMergedTracerKeepsRecording(t *testing.T) {
+	session := New(sim.NewEngine())
+	job := New(sim.NewEngine())
+	for _, s := range jobSpans(1, 10) { // 8 + 2 of a 16-span segment
+		job.Add(s)
+	}
+	session.Merge(job)
+	for _, s := range jobSpans(2, 40) {
+		job.Add(s)
+	}
+	session.Add(Span{Name: "after", Category: "task"})
+	got := session.Spans()
+	if len(got) != 11 || got[10].Name != "after" {
+		t.Fatalf("session holds %d spans (last %q), want the 10 merged plus its own", len(got), got[len(got)-1].Name)
+	}
+	for i, s := range jobSpans(1, 10) {
+		if got[i] != s {
+			t.Fatalf("merged span %d = %+v, want %+v", i, got[i], s)
+		}
+	}
+	want := append(jobSpans(1, 10), jobSpans(2, 40)...)
+	jobGot := job.Spans()
+	if len(jobGot) != len(want) {
+		t.Fatalf("job holds %d spans, want %d", len(jobGot), len(want))
+	}
+	for i := range want {
+		if jobGot[i] != want[i] {
+			t.Fatalf("job span %d = %+v, want %+v", i, jobGot[i], want[i])
+		}
+	}
+}
+
+// TestSegmentsNeverRegrow checks that recording never moves stored spans
+// and that segment capacity stays bounded.
+func TestSegmentsNeverRegrow(t *testing.T) {
+	tr := New(sim.NewEngine())
+	tr.Add(Span{Name: "first"})
+	first := &tr.segs[0][0]
+	for i := 0; i < 5000; i++ {
+		tr.Add(Span{Name: "x"})
+	}
+	if &tr.segs[0][0] != first {
+		t.Fatal("the first segment was reallocated")
+	}
+	for i, seg := range tr.segs {
+		if cap(seg) > maxSegment {
+			t.Fatalf("segment %d has capacity %d > %d", i, cap(seg), maxSegment)
+		}
+	}
+}
+
+// TestConcurrentMergeWhileRecording runs job tracers that keep recording
+// after they merged, while a sibling goroutine per job merges it into a
+// side tracer concurrently and readers walk both. Run under -race.
+func TestConcurrentMergeWhileRecording(t *testing.T) {
+	session, side := New(sim.NewEngine()), New(sim.NewEngine())
+	const jobs, perJob = 6, 300
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_ = session.Spans()
+				_, _ = session.Series("power")
+				_ = session.ByCategory()
+				_ = side.Spans()
+			}
+		}()
+	}
+	for k := 0; k < jobs; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			job := New(sim.NewEngine())
+			recorded := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for m := 0; m < 100; m++ {
+					select {
+					case <-recorded:
+						return
+					default:
+						side.Merge(job)
+					}
+				}
+			}()
+			for i, s := range jobSpans(k, perJob) {
+				job.Add(s)
+				if i%50 == 49 {
+					session.Merge(job)
+				}
+			}
+			close(recorded)
+			_ = job.Spans()
+		}(k)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	// Job k merged its growing prefix 6 times: 50 + 100 + ... + 300 spans.
+	if got, want := len(session.Spans()), jobs*(50+100+150+200+250+300); got != want {
+		t.Fatalf("session holds %d spans, want %d", got, want)
+	}
+}
+
+// BenchmarkTracerMerge records one job-sized trace (768 spans: a queue,
+// task and two power samples for each of 192 tasks) and merges it into a
+// session tracer; the session restarts every 64 jobs to bound memory.
+func BenchmarkTracerMerge(b *testing.B) {
+	spans := jobSpans(3, 768)
+	b.ReportAllocs()
+	session := New(sim.NewEngine())
+	for i := 0; i < b.N; i++ {
+		if i%64 == 63 {
+			session = New(sim.NewEngine())
+		}
+		job := New(sim.NewEngine())
+		for _, s := range spans {
+			job.Add(s)
+		}
+		session.Merge(job)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
+}

@@ -1138,13 +1138,16 @@ func (j *Job) Start(ctx context.Context) error {
 	return j.sys.eng.Submit(ctx, j.ej)
 }
 
-// Run submits the job and blocks until it completes, is cancelled, or ctx
-// fires.
+// Run submits the job and blocks until it completes or is cancelled. The
+// job runs under ctx, so ctx firing cancels the job; Run then waits for
+// the job to reach its terminal state, so the error always reports the
+// cancellation (ErrJobCancelled) rather than a bare context error.
 func (j *Job) Run(ctx context.Context) (*Report, error) {
 	if err := j.Start(ctx); err != nil {
 		return nil, err
 	}
-	return j.Wait(ctx)
+	<-j.ej.Done()
+	return j.Wait(context.Background())
 }
 
 // Wait blocks until the job completes (or ctx fires — which abandons the

@@ -8,8 +8,10 @@ package legato
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +125,25 @@ func TestEventLogDeterministicSerialized(t *testing.T) {
 	second := run()
 	if first != second {
 		t.Fatalf("event log not byte-identical across runs:\n--- first\n%s--- second\n%s", first, second)
+	}
+}
+
+// TestExportSessionGolden pins the exported dump of the serialized seeded
+// session — merged trace spans in merge order, counters, registry and
+// event log — to a digest captured before the trace store was segmented.
+func TestExportSessionGolden(t *testing.T) {
+	sys := runObservedSession(t, observedSessionCap(t), WithEventLog())
+	defer sys.Close(context.Background())
+	var buf bytes.Buffer
+	if err := sys.ExportSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/export_session.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("session dump digest %s, want %s", got, strings.TrimSpace(string(want)))
 	}
 }
 

@@ -23,9 +23,10 @@
 //
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/monitor, internal/sim). Test files are
-// skipped; an ignored error in a test is an assertion choice, not a
-// recovery bug, and tests may legitimately time out on the wall clock.
+// internal/trace, internal/seg, internal/monitor, internal/sim). Test
+// files are skipped; an ignored error in a test is an assertion choice,
+// not a recovery bug, and tests may legitimately time out on the wall
+// clock.
 package main
 
 import (
@@ -40,7 +41,7 @@ import (
 
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
-	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
+	"internal/obs", "internal/trace", "internal/seg", "internal/monitor", "internal/sim",
 }
 
 // finding is one lint violation.

@@ -87,90 +87,120 @@ func PrometheusText(snap map[string]map[string]float64) string {
 // Chrome trace_event JSON
 // ---------------------------------------------------------------------------
 
-// chromeEvent is one entry of the trace_event JSON array (the "JSON
-// object format" chrome://tracing and Perfetto load directly).
-// Timestamps and durations are microseconds.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent      `json:"traceEvents"`
-	DisplayTimeUnit string             `json:"displayTimeUnit"`
-	OtherData       map[string]float64 `json:"otherData,omitempty"`
-}
-
 // usec converts virtual time to trace_event microseconds.
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
 // ChromeTrace renders tracer spans (and optional counters) as Chrome
-// trace_event JSON. Each span resource becomes a named thread of pid 1
-// (sorted for stable tids); intervals become complete ("X") events,
-// zero-width markers become instants ("i"), and value-carrying samples
-// (e.g. the "power" fleet-draw series) become counter ("C") tracks so
-// the draw-vs-time curve renders as a graph. Tracer counters land in
-// otherData.
+// trace_event JSON (the "JSON object format" chrome://tracing and
+// Perfetto load directly; timestamps and durations in microseconds),
+// indented by one space. Each span resource becomes a named thread of
+// pid 1 (sorted for stable tids); intervals become complete ("X")
+// events, zero-width markers become instants ("i"), and value-carrying
+// samples (e.g. the "power" fleet-draw series) become counter ("C")
+// tracks so the draw-vs-time curve renders as a graph. Tracer counters
+// land in otherData. A NaN or infinite value is an error.
 func ChromeTrace(spans []trace.Span, counters map[string]float64) ([]byte, error) {
-	resources := make(map[string]int)
-	for _, s := range spans {
-		resources[s.Resource] = 0
+	tids := make(map[string]int)
+	for i := range spans {
+		tids[spans[i].Resource] = 0
 	}
-	names := make([]string, 0, len(resources))
-	for r := range resources {
-		names = append(names, r)
+	a := jsonAppender{buf: make([]byte, 0, 192*(len(spans)+len(tids)+1))}
+	a.open('{')
+	a.name(`"traceEvents": `)
+	a.open('[')
+	a.chromeMeta("process_name", 0, "legato session")
+	for i, r := range sortedKeys(tids) {
+		tids[r] = i + 1
+		a.chromeMeta("thread_name", i+1, r)
 	}
-	sort.Strings(names)
-	events := make([]chromeEvent, 0, len(spans)+len(names)+1)
-	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "legato session"},
-	})
-	for i, r := range names {
-		resources[r] = i + 1
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: i + 1,
-			Args: map[string]any{"name": r},
-		})
-	}
-	for _, s := range spans {
-		tid := resources[s.Resource]
+	for i := range spans {
+		s := &spans[i]
+		a.elem()
+		a.open('{')
+		a.name(`"name": `)
+		a.str(s.Name)
+		if s.Category != "" {
+			a.name(`"cat": `)
+			a.str(s.Category)
+		}
 		switch {
 		case s.Start == s.End && s.Value != 0:
 			// Telemetry sample → counter track named by the span.
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: s.Category, Ph: "C", Ts: usec(s.Start),
-				Pid: 1, Tid: tid,
-				Args: map[string]any{s.Category: s.Value},
-			})
+			a.chromeHead("C", s.Start, 0, tids[s.Resource])
+			a.name(`"args": `)
+			a.open('{')
+			a.key(s.Category)
+			a.float(s.Value)
+			a.close('}')
 		case s.Start == s.End:
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: s.Category, Ph: "i", Ts: usec(s.Start),
-				Pid: 1, Tid: tid, Scope: "t",
-			})
+			a.chromeHead("i", s.Start, 0, tids[s.Resource])
+			a.name(`"s": `)
+			a.str("t")
 		default:
-			ev := chromeEvent{
-				Name: s.Name, Cat: s.Category, Ph: "X", Ts: usec(s.Start),
-				Dur: usec(s.End - s.Start), Pid: 1, Tid: tid,
-			}
+			a.chromeHead("X", s.Start, s.End-s.Start, tids[s.Resource])
 			if s.Value != 0 {
-				ev.Args = map[string]any{"value": s.Value}
+				a.name(`"args": `)
+				a.open('{')
+				a.name(`"value": `)
+				a.float(s.Value)
+				a.close('}')
 			}
-			events = append(events, ev)
 		}
+		a.close('}')
 	}
-	out := chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"}
+	a.close(']')
+	a.name(`"displayTimeUnit": `)
+	a.str("ms")
 	if len(counters) > 0 {
-		out.OtherData = counters
+		a.name(`"otherData": `)
+		a.floatMap(counters)
 	}
-	return json.MarshalIndent(out, "", " ")
+	a.close('}')
+	if a.err != nil {
+		return nil, a.err
+	}
+	return a.buf, nil
+}
+
+// chromeHead appends the members every trace event carries after its
+// name and category: phase, timestamp, duration (complete events only),
+// pid and tid.
+func (a *jsonAppender) chromeHead(ph string, ts, dur sim.Time, tid int) {
+	a.name(`"ph": `)
+	a.str(ph)
+	a.name(`"ts": `)
+	a.float(usec(ts))
+	if dur != 0 {
+		a.name(`"dur": `)
+		a.float(usec(dur))
+	}
+	a.name(`"pid": `)
+	a.int(1)
+	a.name(`"tid": `)
+	a.int(int64(tid))
+}
+
+// chromeMeta appends one metadata ("M") event naming the process or a
+// thread.
+func (a *jsonAppender) chromeMeta(name string, tid int, value string) {
+	a.elem()
+	a.open('{')
+	a.name(`"name": `)
+	a.str(name)
+	a.name(`"ph": `)
+	a.str("M")
+	a.name(`"ts": `)
+	a.int(0)
+	a.name(`"pid": `)
+	a.int(1)
+	a.name(`"tid": `)
+	a.int(int64(tid))
+	a.name(`"args": `)
+	a.open('{')
+	a.name(`"name": `)
+	a.str(value)
+	a.close('}')
+	a.close('}')
 }
 
 // ---------------------------------------------------------------------------
@@ -332,11 +362,186 @@ type SessionDump struct {
 	Events   []Event                       `json:"events,omitempty"`
 }
 
-// Encode writes the dump as indented JSON.
+// Encode writes the dump as JSON indented by one space, ending in a
+// newline — the bytes an encoding/json Encoder with SetIndent("", " ")
+// writes for it. A NaN or infinite value is an error and writes nothing.
 func (d *SessionDump) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d)
+	v := SessionView{
+		Name:     d.Name,
+		Spans:    [][]trace.Span{d.Spans},
+		Counters: d.Counters,
+		Metrics:  d.Metrics,
+		Events:   [][]Event{d.Events},
+	}
+	return v.encode(w, d.Spans == nil)
+}
+
+// SessionView is a SessionDump whose spans and events stay in the
+// segments their stores keep them in (trace.Tracer.View,
+// Collector.View), so encoding copies neither.
+type SessionView struct {
+	Name     string
+	Spans    [][]trace.Span
+	Counters map[string]float64
+	Metrics  map[string]map[string]float64
+	Events   [][]Event
+}
+
+// Encode writes the view in one streaming pass, in chunks of about
+// 32 KB: the bytes SessionDump.Encode writes for the same spans and
+// events laid end to end (spans always as an array, never null). A NaN
+// or infinite value is an error and writes nothing; a write error stops
+// the encoding and is returned.
+func (v *SessionView) Encode(w io.Writer) error { return v.encode(w, false) }
+
+func (v *SessionView) encode(w io.Writer, nullSpans bool) error {
+	if err := v.checkFinite(); err != nil {
+		return err
+	}
+	a := jsonAppender{buf: make([]byte, 0, flushAt+flushAt/4), w: w}
+	a.open('{')
+	if v.Name != "" {
+		a.name(`"name": `)
+		a.str(v.Name)
+	}
+	a.name(`"spans": `)
+	if nullSpans {
+		a.null()
+	} else {
+		a.open('[')
+		for _, sg := range v.Spans {
+			for i := range sg {
+				a.span(&sg[i])
+				if a.flush(false) != nil {
+					return a.err
+				}
+			}
+		}
+		a.close(']')
+	}
+	if len(v.Counters) > 0 {
+		a.name(`"counters": `)
+		a.floatMap(v.Counters)
+	}
+	if len(v.Metrics) > 0 {
+		a.name(`"metrics": `)
+		a.open('{')
+		for _, scope := range sortedKeys(v.Metrics) {
+			a.key(scope)
+			a.floatMap(v.Metrics[scope])
+		}
+		a.close('}')
+	}
+	if hasEvents(v.Events) {
+		a.name(`"events": `)
+		a.open('[')
+		for _, sg := range v.Events {
+			for i := range sg {
+				a.event(&sg[i])
+				if a.flush(false) != nil {
+					return a.err
+				}
+			}
+		}
+		a.close(']')
+	}
+	a.close('}')
+	a.buf = append(a.buf, '\n')
+	return a.flush(true)
+}
+
+// checkFinite finds the first float JSON cannot carry before anything is
+// written, so a rejected dump leaves the writer untouched.
+func (v *SessionView) checkFinite() error {
+	for _, sg := range v.Spans {
+		for i := range sg {
+			if err := finite(sg[i].Value); err != nil {
+				return err
+			}
+		}
+	}
+	for _, f := range v.Counters {
+		if err := finite(f); err != nil {
+			return err
+		}
+	}
+	for _, m := range v.Metrics {
+		for _, f := range m {
+			if err := finite(f); err != nil {
+				return err
+			}
+		}
+	}
+	for _, sg := range v.Events {
+		for i := range sg {
+			if err := finite(sg[i].Value); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func hasEvents(segs [][]Event) bool {
+	for _, sg := range segs {
+		if len(sg) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// span appends a trace.Span with its Go field names, as trace.Span has
+// no JSON tags.
+func (a *jsonAppender) span(s *trace.Span) {
+	a.elem()
+	a.open('{')
+	a.name(`"Name": `)
+	a.str(s.Name)
+	a.name(`"Category": `)
+	a.str(s.Category)
+	a.name(`"Resource": `)
+	a.str(s.Resource)
+	a.name(`"Start": `)
+	a.int(int64(s.Start))
+	a.name(`"End": `)
+	a.int(int64(s.End))
+	a.name(`"Value": `)
+	a.float(s.Value)
+	a.close('}')
+}
+
+// event appends an Event per its JSON tags, Kind by name.
+func (a *jsonAppender) event(e *Event) {
+	a.elem()
+	a.open('{')
+	a.name(`"seq": `)
+	a.uint(e.Seq)
+	a.name(`"at": `)
+	a.int(int64(e.At))
+	a.name(`"kind": `)
+	a.str(e.Kind.String())
+	if e.Job != "" {
+		a.name(`"job": `)
+		a.str(e.Job)
+	}
+	if e.Task != "" {
+		a.name(`"task": `)
+		a.str(e.Task)
+	}
+	if e.Device != "" {
+		a.name(`"device": `)
+		a.str(e.Device)
+	}
+	if e.Value != 0 {
+		a.name(`"value": `)
+		a.float(e.Value)
+	}
+	if e.Detail != "" {
+		a.name(`"detail": `)
+		a.str(e.Detail)
+	}
+	a.close('}')
 }
 
 // DecodeSession reads a dump written by Encode.

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"legato/internal/seg"
 	"legato/internal/sim"
 )
 
@@ -297,31 +298,47 @@ func (s *Subscription) Close() {
 
 // Collector is a synchronous observer that accumulates the ordered
 // event stream in memory — the shape the determinism witness and the
-// session exporter consume. Safe for concurrent use.
+// session exporter consume. Events live in a segmented store
+// (internal/seg), so collecting never regrows or copies the log. Safe
+// for concurrent use.
 type Collector struct {
 	mu     sync.Mutex
-	events []Event
+	events seg.Store[Event]
 }
 
 // Observe appends one event; pass it to Bus.Observe.
 func (c *Collector) Observe(e Event) {
 	c.mu.Lock()
-	c.events = append(c.events, e)
+	c.events.Append(e)
 	c.mu.Unlock()
 }
 
-// Events returns a copy of the collected stream in publication order.
+// Events returns a copy of the collected stream in publication order
+// (nil when nothing was collected).
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
+	if c.events.Len() == 0 {
+		return nil
+	}
+	return c.events.Copy()
+}
+
+// View returns the events collected so far without copying them:
+// segments in publication order, each clipped to its length and capacity
+// (see seg.Store.View). Callers must not write through the view; events
+// collected afterwards never show up in it.
+func (c *Collector) View() [][]Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.events.View()
 }
 
 // Len reports how many events have been collected.
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.events)
+	return c.events.Len()
 }
 
 // Log renders the collected stream via FormatLog.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -166,6 +167,116 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip: got %+v want %+v", out, in)
+	}
+}
+
+// TestCollectorOrderAcrossSegments checks that the log keeps publication
+// order across segment boundaries, that a view taken earlier never sees
+// later events, and that writing into a slice Events returned changes
+// neither the log nor later exports.
+func TestCollectorOrderAcrossSegments(t *testing.T) {
+	b := NewBus()
+	var c Collector
+	b.Observe(c.Observe)
+	const first, total = 1500, 5000 // both well past several segments
+	for i := 0; i < first; i++ {
+		b.Publish(Event{Kind: TaskStarted, Task: fmt.Sprintf("t%d", i)})
+	}
+	early := c.View()
+	var before bytes.Buffer
+	if err := (&SessionView{Events: early}).Encode(&before); err != nil {
+		t.Fatal(err)
+	}
+	copied := c.Events()
+	copied[0].Task = "mutated"
+	for i := first; i < total; i++ {
+		b.Publish(Event{Kind: TaskStarted, Task: fmt.Sprintf("t%d", i)})
+	}
+
+	events := c.Events()
+	if len(events) != total || c.Len() != total {
+		t.Fatalf("collected %d events (Len %d), want %d", len(events), c.Len(), total)
+	}
+	for i, e := range events {
+		if e.Seq != uint64(i+1) || e.Task != fmt.Sprintf("t%d", i) {
+			t.Fatalf("event %d = %+v, out of publication order", i, e)
+		}
+	}
+	n := 0
+	for _, sg := range early {
+		n += len(sg)
+	}
+	if n != first {
+		t.Fatalf("early view grew to %d events, want %d", n, first)
+	}
+	var after bytes.Buffer
+	if err := (&SessionView{Events: early}).Encode(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("an early view's export changed after later events were collected")
+	}
+	if want := FormatLog(events); c.Log() != want {
+		t.Fatal("Log differs from FormatLog(Events())")
+	}
+}
+
+// TestCollectorConcurrentViews publishes from several goroutines while
+// others take views, encode them and copy the log. Run under -race.
+func TestCollectorConcurrentViews(t *testing.T) {
+	b := NewBus()
+	var c Collector
+	b.Observe(c.Observe)
+	var pubs, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var buf bytes.Buffer
+				if err := (&SessionView{Events: c.View()}).Encode(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = c.Events()
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		pubs.Add(1)
+		go func(g int) {
+			defer pubs.Done()
+			for i := 0; i < 1000; i++ {
+				b.Publish(Event{Kind: TaskCompleted, Job: fmt.Sprintf("j%d", g), Value: float64(i)})
+			}
+		}(g)
+	}
+	pubs.Wait()
+	close(stop)
+	readers.Wait()
+	if c.Len() != 4000 {
+		t.Fatalf("collected %d events, want 4000", c.Len())
+	}
+}
+
+// BenchmarkCollectorObserve appends events to a collector the way a
+// session's event log receives them; the log restarts every 1<<16 events
+// to bound memory.
+func BenchmarkCollectorObserve(b *testing.B) {
+	e := Event{Kind: TaskCompleted, Job: "j", Task: "t", Device: "d", Value: 1}
+	b.ReportAllocs()
+	c := &Collector{}
+	for i := 0; i < b.N; i++ {
+		if i&(1<<16-1) == 0 {
+			c = &Collector{}
+		}
+		c.Observe(e)
 	}
 }
 

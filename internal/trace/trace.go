@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"legato/internal/seg"
 	"legato/internal/sim"
 )
 
@@ -32,32 +33,22 @@ func (s Span) Duration() sim.Time { return s.End - s.Start }
 // safe for concurrent use, so per-job traces can merge into a session
 // trace while other jobs are still recording.
 //
-// Closed spans live in segments that grow from minSegment to maxSegment
-// spans and are never regrown once allocated, so recording never copies
-// earlier spans. Merge appends the other tracer's segments by reference,
-// each clipped to its length and capacity, so neither side can append
-// into a segment the other can read.
+// Closed spans live in a segmented store (internal/seg), so recording
+// never copies earlier spans. Merge adopts the other tracer's segments by
+// reference, each clipped to its length and capacity, so neither side
+// can append into a segment the other can read.
 type Tracer struct {
 	mu       sync.Mutex
 	eng      *sim.Engine
-	segs     [][]Span // closed spans in completion order
-	nspans   int      // spans across segs
-	nextSeg  int      // capacity of the next segment this tracer allocates
+	spans    seg.Store[Span] // closed spans in completion order
 	open     map[int]*Span
 	nextID   int
 	counters map[string]float64
 }
 
-// Segment capacities: small for short-lived job tracers, bounded so one
-// segment never costs more than maxSegment spans of slack.
-const (
-	minSegment = 8
-	maxSegment = 1024
-)
-
 // New creates a tracer.
 func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, nextSeg: minSegment, open: make(map[int]*Span), counters: make(map[string]float64)}
+	return &Tracer{eng: eng, open: make(map[int]*Span), counters: make(map[string]float64)}
 }
 
 // Begin opens a span and returns its handle.
@@ -81,30 +72,7 @@ func (t *Tracer) End(id int) {
 	}
 	delete(t.open, id)
 	s.End = t.eng.Now()
-	t.appendLocked(*s)
-}
-
-// appendLocked records one closed span, opening a new segment when the
-// last one is full (or was merged in from another tracer).
-func (t *Tracer) appendLocked(s Span) {
-	if k := len(t.segs) - 1; k >= 0 && len(t.segs[k]) < cap(t.segs[k]) {
-		t.segs[k] = append(t.segs[k], s)
-	} else {
-		seg := make([]Span, 1, t.nextSeg)
-		seg[0] = s
-		t.segs = append(t.segs, seg)
-		t.nextSeg = min(2*t.nextSeg, maxSegment)
-	}
-	t.nspans++
-}
-
-// eachLocked calls fn on every closed span in completion order; t.mu is held.
-func (t *Tracer) eachLocked(fn func(*Span)) {
-	for _, seg := range t.segs {
-		for i := range seg {
-			fn(&seg[i])
-		}
-	}
+	t.spans.Append(*s)
 }
 
 // Count adds delta to a named counter.
@@ -125,11 +93,17 @@ func (t *Tracer) Counter(name string) float64 {
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, t.nspans)
-	for _, seg := range t.segs {
-		out = append(out, seg...)
-	}
-	return out
+	return t.spans.Copy()
+}
+
+// View returns the closed spans recorded so far without copying them:
+// segments in completion order, each clipped to its length and capacity
+// (see seg.Store.View). Callers must not write through the view; spans
+// recorded or merged afterwards never show up in it.
+func (t *Tracer) View() [][]Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.spans.View()
 }
 
 // Add records an already-closed span with explicit timestamps — the path
@@ -138,7 +112,7 @@ func (t *Tracer) Spans() []Span {
 func (t *Tracer) Add(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.appendLocked(s)
+	t.spans.Append(s)
 }
 
 // Counters returns a copy of every named counter.
@@ -163,11 +137,7 @@ func (t *Tracer) Merge(other *Tracer) {
 		return
 	}
 	other.mu.Lock()
-	segs := make([][]Span, len(other.segs))
-	for i, seg := range other.segs {
-		segs[i] = seg[:len(seg):len(seg)]
-	}
-	n := other.nspans
+	view := other.spans.View()
 	counters := make(map[string]float64, len(other.counters))
 	for k, v := range other.counters {
 		counters[k] = v
@@ -176,8 +146,7 @@ func (t *Tracer) Merge(other *Tracer) {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.segs = append(t.segs, segs...)
-	t.nspans += n
+	t.spans.Adopt(view)
 	for k, v := range counters {
 		t.counters[k] += v
 	}
@@ -189,7 +158,7 @@ func (t *Tracer) Merge(other *Tracer) {
 func (t *Tracer) Series(category string) (xs, ys []float64) {
 	t.mu.Lock()
 	var spans []Span
-	t.eachLocked(func(s *Span) {
+	t.spans.Each(func(s *Span) {
 		if s.Category == category {
 			spans = append(spans, *s)
 		}
@@ -208,7 +177,7 @@ func (t *Tracer) ByCategory() map[string]sim.Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[string]sim.Time)
-	t.eachLocked(func(s *Span) { out[s.Category] += s.Duration() })
+	t.spans.Each(func(s *Span) { out[s.Category] += s.Duration() })
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"legato/internal/seg"
 	"legato/internal/sim"
 )
 
@@ -274,17 +275,54 @@ func TestMergedTracerKeepsRecording(t *testing.T) {
 func TestSegmentsNeverRegrow(t *testing.T) {
 	tr := New(sim.NewEngine())
 	tr.Add(Span{Name: "first"})
-	first := &tr.segs[0][0]
+	first := &tr.View()[0][0]
 	for i := 0; i < 5000; i++ {
 		tr.Add(Span{Name: "x"})
 	}
-	if &tr.segs[0][0] != first {
+	view := tr.View()
+	if &view[0][0] != first {
 		t.Fatal("the first segment was reallocated")
 	}
-	for i, seg := range tr.segs {
-		if cap(seg) > maxSegment {
-			t.Fatalf("segment %d has capacity %d > %d", i, cap(seg), maxSegment)
+	for i, sg := range view {
+		if cap(sg) > seg.MaxSegment {
+			t.Fatalf("segment %d has capacity %d > %d", i, cap(sg), seg.MaxSegment)
 		}
+	}
+}
+
+// TestViewIsASnapshot checks that a view shares the recorded spans but
+// never sees spans recorded or merged after it was taken, and that
+// writing into a slice Spans returned leaves the tracer unchanged.
+func TestViewIsASnapshot(t *testing.T) {
+	tr := New(sim.NewEngine())
+	for _, s := range jobSpans(1, 20) {
+		tr.Add(s)
+	}
+	view := tr.View()
+	copied := tr.Spans()
+	copied[0].Name = "mutated"
+	for _, s := range jobSpans(2, 30) {
+		tr.Add(s)
+	}
+	job := New(sim.NewEngine())
+	job.Add(Span{Name: "merged"})
+	tr.Merge(job)
+
+	var flat []Span
+	for _, sg := range view {
+		flat = append(flat, sg...)
+	}
+	want := jobSpans(1, 20)
+	if len(flat) != len(want) {
+		t.Fatalf("view holds %d spans, want %d", len(flat), len(want))
+	}
+	for i := range want {
+		if flat[i] != want[i] {
+			t.Fatalf("view span %d = %+v, want %+v", i, flat[i], want[i])
+		}
+	}
+	if got := tr.Spans(); len(got) != 51 || got[0] != want[0] {
+		t.Fatalf("tracer holds %d spans starting %+v after the caller wrote into a copy", len(got), got[0])
 	}
 }
 

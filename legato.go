@@ -706,15 +706,21 @@ func (s *System) EventLog() []Event {
 // loads, summarises and converts (Chrome trace_event, Paraver,
 // Prometheus text). Export after the jobs of interest completed: only
 // merged (finished) job traces are included.
+//
+// Spans and events are encoded in place from views of the tracer's and
+// the event log's segments, streaming to w in chunks; no session lock
+// is held while w.Write runs, so w may call back into the System.
 func (s *System) ExportSession(w io.Writer) error {
-	dump := obs.SessionDump{
+	view := obs.SessionView{
 		Name:     "legato-session",
-		Spans:    s.tracer.Spans(),
+		Spans:    s.tracer.View(),
 		Counters: s.tracer.Counters(),
 		Metrics:  s.reg.Snapshot(),
-		Events:   s.EventLog(),
 	}
-	return dump.Encode(w)
+	if s.evlog != nil {
+		view.Events = s.evlog.View()
+	}
+	return view.Encode(w)
 }
 
 // Close stops accepting jobs and drains the engine; queued jobs still run.

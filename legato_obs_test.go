@@ -10,6 +10,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -285,5 +286,171 @@ func TestExportSessionArtifacts(t *testing.T) {
 	}
 	if !sawExec {
 		t.Fatal("timelines carry no execution intervals")
+	}
+}
+
+// limitWriter keeps the first limit bytes it is handed and fails the
+// write that would pass the limit; it records any write after that.
+type limitWriter struct {
+	bytes.Buffer
+	limit      int
+	failed     bool
+	lateWrites int
+}
+
+var errLimit = errors.New("writer limit reached")
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.lateWrites++
+		return 0, errLimit
+	}
+	if room := w.limit - w.Len(); len(p) > room {
+		w.Buffer.Write(p[:room])
+		w.failed = true
+		return room, errLimit
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestExportSessionWriterContract checks what ExportSession promises:
+// exports read the stores, not the copies EventLog and Spans hand out; a
+// write error (at the first byte, inside the spans, inside the events)
+// is returned and ends the export; a writer may call back into the
+// System, since no session lock is held across Write; and the dump
+// decodes and re-encodes to the same bytes.
+func TestExportSessionWriterContract(t *testing.T) {
+	sys := runObservedSession(t, observedSessionCap(t), WithEventLog())
+	defer sys.Close(context.Background())
+	var full bytes.Buffer
+	if err := sys.ExportSession(&full); err != nil {
+		t.Fatal(err)
+	}
+	// Writing into the copies EventLog and Spans return must not reach
+	// the session's stores.
+	sys.EventLog()[0].Detail = "mutated"
+	sys.Tracer().Spans()[0].Name = "mutated"
+	var again bytes.Buffer
+	if err := sys.ExportSession(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), full.Bytes()) {
+		t.Fatal("writing into EventLog's or Spans' result changed the next export")
+	}
+	spansAt := bytes.Index(full.Bytes(), []byte(`"spans": [`))
+	eventsAt := bytes.Index(full.Bytes(), []byte(`"events": [`))
+	if spansAt < 0 || eventsAt < 0 || full.Len()-1000 <= eventsAt || full.Len() < 40<<10 {
+		t.Fatalf("dump of %d bytes (spans at %d, events at %d) is too small to fail inside its events on a later write",
+			full.Len(), spansAt, eventsAt)
+	}
+	for _, limit := range []int{0, (spansAt + eventsAt) / 2, full.Len() - 1000} {
+		w := limitWriter{limit: limit}
+		if err := sys.ExportSession(&w); !errors.Is(err, errLimit) {
+			t.Fatalf("limit %d: error %v, want the writer's", limit, err)
+		}
+		if w.lateWrites != 0 {
+			t.Fatalf("limit %d: %d writes after the writer failed", limit, w.lateWrites)
+		}
+		if !bytes.Equal(w.Bytes(), full.Bytes()[:limit]) {
+			t.Fatalf("limit %d: the bytes written differ from the dump's prefix", limit)
+		}
+	}
+
+	reentrant := writerFunc(func(p []byte) (int, error) {
+		if len(sys.EventLog()) == 0 || sys.Stats().TasksCompleted == 0 {
+			t.Error("EventLog or Stats empty inside Write")
+		}
+		return len(p), nil
+	})
+	done := make(chan error, 1)
+	go func() { done <- sys.ExportSession(reentrant) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("ExportSession deadlocked with a writer calling EventLog and Stats")
+	}
+
+	dump, err := obs.DecodeSession(bytes.NewReader(full.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Reset()
+	if err := dump.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), full.Bytes()) {
+		t.Fatal("decoding and re-encoding the dump changed its bytes")
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestExportSessionWhileRunning exports and reads the event log while
+// jobs publish events and merge traces on two workers. Run under -race.
+func TestExportSessionWhileRunning(t *testing.T) {
+	sys, err := NewSystem(WithPolicy(MinTime), WithWorkers(2), WithEventLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close(context.Background())
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := sys.ExportSession(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := obs.DecodeSession(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = sys.EventLog()
+		}
+	}()
+	ctx := context.Background()
+	var jobs []*Job
+	for n := 0; n < 4; n++ {
+		job, err := sys.NewJob(fmt.Sprintf("job%d", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := buildThroughputJob(job); err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		if _, err := job.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-readerDone
+	var buf bytes.Buffer
+	if err := sys.ExportSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := obs.DecodeSession(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Events) != len(sys.EventLog()) || len(dump.Spans) == 0 {
+		t.Fatalf("final dump holds %d events (log %d) and %d spans", len(dump.Events), len(sys.EventLog()), len(dump.Spans))
 	}
 }

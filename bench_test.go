@@ -387,3 +387,31 @@ func BenchmarkRECSBoxConstruction(b *testing.B) {
 	}
 	_ = hw.MaxMicroservers
 }
+
+// BenchmarkNewJob measures per-job set-up on the cloud platform: the
+// fleet mirror, the private clock and runtime, and the hook wiring.
+// Reports ns and allocations per job; no gate. A session keeps every job
+// it created, so the benchmark starts a fresh one every 1024 jobs (off the
+// clock) to bound memory.
+func BenchmarkNewJob(b *testing.B) {
+	var sys *System
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			b.StopTimer()
+			if sys != nil {
+				_ = sys.Close(context.Background())
+			}
+			var err error
+			if sys, err = NewSystem(WithPlatform(CloudPlatform)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := sys.NewJob("job"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_ = sys.Close(context.Background())
+}

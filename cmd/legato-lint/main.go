@@ -23,7 +23,8 @@
 //
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/seg, internal/monitor, internal/sim). Test
+// internal/trace, internal/seg, internal/monitor, internal/sim, and
+// internal/hw, which builds every job's device mirror). Test
 // files are skipped; an ignored error in a test is an assertion choice,
 // not a recovery bug, and tests may legitimately time out on the wall
 // clock.
@@ -42,6 +43,7 @@ import (
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/seg", "internal/monitor", "internal/sim",
+	"internal/hw",
 }
 
 // finding is one lint violation.

@@ -62,11 +62,9 @@ type Config struct {
 	QueueDepth int
 	// Policy is the placement objective used by every job's scheduler.
 	Policy taskrt.Policy
-	// NewPlatform builds a job-local mirror of the platform on the job's
-	// private clock. Mirrors must reproduce the same device IDs as Fleet.
-	NewPlatform func(*sim.Engine) ([]*hw.Device, error)
-	// Fleet lists the reference devices defining shared capacity. When
-	// nil, a throwaway mirror from NewPlatform defines it.
+	// Fleet lists the reference devices defining shared capacity. Every
+	// job runs on a private mirror of them (hw.Mirror): same IDs and specs,
+	// fresh state on the job's clock.
 	Fleet []*hw.Device
 	// Registry receives per-job and per-device counters (optional).
 	Registry *monitor.Registry
@@ -341,8 +339,8 @@ type Engine struct {
 // New starts an engine with its worker pool. The caller must eventually
 // call Shutdown to drain it.
 func New(cfg Config) (*Engine, error) {
-	if cfg.NewPlatform == nil {
-		return nil, fmt.Errorf("engine: Config.NewPlatform is required")
+	if len(cfg.Fleet) == 0 {
+		return nil, fmt.Errorf("engine: Config.Fleet is required")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -351,13 +349,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.QueueDepth = 4096
 	}
 	ref := cfg.Fleet
-	if ref == nil {
-		devs, err := cfg.NewPlatform(sim.NewEngine())
-		if err != nil {
-			return nil, fmt.Errorf("engine: building reference platform: %w", err)
-		}
-		ref = devs
-	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 3
 	}
@@ -404,15 +395,12 @@ func (e *Engine) Power() *power.Ledger { return e.power }
 // Workers reports the pool width.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// NewJob creates an empty job with a private clock and platform mirror,
-// wired to the shared fleet. Submit tasks through Runtime(), then hand the
-// job to Submit.
+// NewJob creates an empty job with a private clock and a mirror of the
+// fleet, wired to the shared ledgers. Submit tasks through Runtime(), then
+// hand the job to Submit.
 func (e *Engine) NewJob(name string) (*Job, error) {
 	clock := sim.NewEngine()
-	devs, err := e.cfg.NewPlatform(clock)
-	if err != nil {
-		return nil, fmt.Errorf("engine: building platform mirror for job %q: %w", name, err)
-	}
+	devs := hw.Mirror(clock, e.ref)
 	rt := taskrt.New(clock, devs, e.cfg.Policy)
 	rt.SetAdmission(e.fleet)
 	rt.SetPowerAdmission(e.power)
@@ -430,73 +418,119 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.mu.Unlock()
 
 	if reg := e.cfg.Registry; reg != nil {
-		scope := "job/" + name
-		rt.AddHooks(taskrt.Hooks{
-			Queued: func(string) { reg.Add(scope, "tasks-queued", 1) },
-			Started: func(taskrt.Record) {
-				reg.Add(scope, "tasks-running", 1)
-			},
-			Finished: func(rec taskrt.Record) {
-				if rec.Shed {
-					// A shed task never started: no running decrement, no
-					// device attribution.
-					reg.Add(scope, "tasks-shed", 1)
-					reg.Add("tail", "tasks-shed", 1)
-					return
-				}
-				reg.Add(scope, "tasks-running", -1)
-				reg.Add(scope, "tasks-completed", 1)
-				reg.Add(scope, "energy-J", float64(rec.EnergyJ))
-				dev := e.deviceScope(rec.Device)
-				reg.Add(dev, "tasks-completed", 1)
-				reg.Add(dev, "energy-J", float64(rec.EnergyJ))
-				reg.Add(dev, "busy-s", sim.ToSeconds(rec.End-rec.Start))
-			},
-			Retried: func(_ string, _ int, reason string, _ sim.Time) {
-				reg.Add(scope, "task-retries", 1)
-				reg.Add("faults", "task-retries", 1)
-				reg.Add("faults", "retry-"+reason, 1)
-			},
-			DeviceLost: func(deviceID string, revoked, restored int, _ sim.Time) {
-				reg.Add(scope, "device-lost", 1)
-				reg.Add(scope, "tasks-revoked", float64(revoked))
-				reg.Add(scope, "tasks-restored", float64(restored))
-				reg.Add(e.deviceScope(deviceID), "lost", 1)
-				reg.Add("faults", "tasks-revoked", float64(revoked))
-				reg.Add("faults", "tasks-restored", float64(restored))
-			},
-			Checkpointed: func(_ int, bytes int64, _, _ sim.Time) {
-				reg.Add(scope, "checkpoints", 1)
-				reg.Add(scope, "checkpoint-bytes", float64(bytes))
-				reg.Add("faults", "checkpoints", 1)
-			},
-			Straggler: func(_, deviceID string, _, _ sim.Time) {
-				reg.Add(scope, "stragglers-detected", 1)
-				reg.Add("tail", "stragglers-detected", 1)
-				reg.Add(e.deviceScope(deviceID), "stragglers", 1)
-			},
-			Hedged: func(_, _, to string, _ sim.Time) {
-				reg.Add(scope, "hedges-launched", 1)
-				reg.Add("tail", "hedges-launched", 1)
-				reg.Add(e.deviceScope(to), "hedges-hosted", 1)
-			},
-			HedgeResolved: func(_, _ string, hedgeWon bool, wastedJ energy.Joules, _, _ sim.Time) {
-				if hedgeWon {
-					reg.Add(scope, "hedges-won", 1)
-					reg.Add("tail", "hedges-won", 1)
-				}
-				reg.Add(scope, "hedge-wasted-J", float64(wastedJ))
-				reg.Add("tail", "hedge-wasted-J", float64(wastedJ))
-			},
-			DeadlineMissed: func(_ string, _, _ sim.Time, _ bool) {
-				reg.Add(scope, "deadline-misses", 1)
-				reg.Add("tail", "deadline-misses", 1)
-			},
-		})
+		e.wireRegistry(j, reg)
 	}
 	e.wireBus(j)
 	e.wireFaults(j)
 	return j, nil
+}
+
+// jobCells caches one job's hot registry cells. Each cell is resolved by
+// its first write (so a metric still enters the registry only once it was
+// written), and every later add is lock-free. Queued fires on the
+// submitting goroutine and the rest on the goroutine driving the job, which
+// the engine queue orders after every submission, so the cache needs no lock.
+type jobCells struct {
+	reg                                *monitor.Registry
+	queued, running, completed, energy *monitor.Cell
+	devs                               map[string]*deviceCells
+}
+
+// deviceCells are one device's cells as seen by one job, resolved together
+// by the job's first completion on the device.
+type deviceCells struct{ completed, energy, busy *monitor.Cell }
+
+// add accumulates delta onto the cached cell, resolving it on first use.
+func (c *jobCells) add(cell **monitor.Cell, scope, metric string, delta float64) {
+	if *cell == nil {
+		*cell = c.reg.AddCell(scope, metric, delta)
+		return
+	}
+	(*cell).Add(delta)
+}
+
+// wireRegistry registers the hooks feeding the job's counters into the
+// session registry: per-task counters through cached cells, rarer recovery
+// and tail events through plain Adds.
+func (e *Engine) wireRegistry(j *Job, reg *monitor.Registry) {
+	scope := "job/" + j.Name
+	c := &jobCells{reg: reg, devs: make(map[string]*deviceCells, len(e.ref))}
+	j.rt.AddHooks(taskrt.Hooks{
+		Queued: func(string) { c.add(&c.queued, scope, "tasks-queued", 1) },
+		Started: func(*taskrt.Record) {
+			c.add(&c.running, scope, "tasks-running", 1)
+		},
+		Finished: func(rec *taskrt.Record) {
+			if rec.Shed {
+				// A shed task never started: no running decrement, no
+				// device attribution.
+				reg.Add(scope, "tasks-shed", 1)
+				reg.Add("tail", "tasks-shed", 1)
+				return
+			}
+			c.add(&c.running, scope, "tasks-running", -1)
+			c.add(&c.completed, scope, "tasks-completed", 1)
+			c.add(&c.energy, scope, "energy-J", float64(rec.EnergyJ))
+			busy := sim.ToSeconds(rec.End - rec.Start)
+			if d := c.devs[rec.Device]; d != nil {
+				d.completed.Add(1)
+				d.energy.Add(float64(rec.EnergyJ))
+				d.busy.Add(busy)
+				return
+			}
+			dev := e.deviceScope(rec.Device)
+			c.devs[rec.Device] = &deviceCells{
+				completed: reg.AddCell(dev, "tasks-completed", 1),
+				energy:    reg.AddCell(dev, "energy-J", float64(rec.EnergyJ)),
+				busy:      reg.AddCell(dev, "busy-s", busy),
+			}
+		},
+		Retried: func(_ string, _ int, reason string, _ sim.Time) {
+			if reason != "restore" {
+				// A revoked or out-voted execution stops running; a restored
+				// task had already finished, so it held no running slot.
+				c.add(&c.running, scope, "tasks-running", -1)
+			}
+			reg.Add(scope, "task-retries", 1)
+			reg.Add("faults", "task-retries", 1)
+			reg.Add("faults", "retry-"+reason, 1)
+		},
+		DeviceLost: func(deviceID string, revoked, restored int, _ sim.Time) {
+			reg.Add(scope, "device-lost", 1)
+			reg.Add(scope, "tasks-revoked", float64(revoked))
+			reg.Add(scope, "tasks-restored", float64(restored))
+			reg.Add(e.deviceScope(deviceID), "lost", 1)
+			reg.Add("faults", "tasks-revoked", float64(revoked))
+			reg.Add("faults", "tasks-restored", float64(restored))
+		},
+		Checkpointed: func(_ int, bytes int64, _, _ sim.Time) {
+			reg.Add(scope, "checkpoints", 1)
+			reg.Add(scope, "checkpoint-bytes", float64(bytes))
+			reg.Add("faults", "checkpoints", 1)
+		},
+		Straggler: func(_, deviceID string, _, _ sim.Time) {
+			reg.Add(scope, "stragglers-detected", 1)
+			reg.Add("tail", "stragglers-detected", 1)
+			reg.Add(e.deviceScope(deviceID), "stragglers", 1)
+		},
+		Hedged: func(_, _, to string, _ sim.Time) {
+			reg.Add(scope, "hedges-launched", 1)
+			reg.Add("tail", "hedges-launched", 1)
+			reg.Add(e.deviceScope(to), "hedges-hosted", 1)
+		},
+		HedgeResolved: func(_, _ string, hedgeWon bool, wastedJ energy.Joules, _, _ sim.Time) {
+			if hedgeWon {
+				reg.Add(scope, "hedges-won", 1)
+				reg.Add("tail", "hedges-won", 1)
+			}
+			reg.Add(scope, "hedge-wasted-J", float64(wastedJ))
+			reg.Add("tail", "hedge-wasted-J", float64(wastedJ))
+		},
+		DeadlineMissed: func(_ string, _, _ sim.Time, _ bool) {
+			reg.Add(scope, "deadline-misses", 1)
+			reg.Add("tail", "deadline-misses", 1)
+		},
+	})
 }
 
 // deviceScope is the registry scope of a device, built once per engine
@@ -511,8 +545,8 @@ func (e *Engine) deviceScope(id string) string {
 // wireBus registers the hooks that publish the job's lifecycle to the
 // session event bus, every event stamped with the job's virtual time and
 // name. Hooks fire on the goroutine driving the job; the bus serializes
-// publication, and with no listener each hook is one struct literal plus
-// an atomic load.
+// publication. Every hook returns on an idle bus (no listener) before it
+// builds an event, so an unobserved session pays one atomic load per hook.
 func (e *Engine) wireBus(j *Job) {
 	bus := e.cfg.Bus
 	if bus == nil {
@@ -522,15 +556,24 @@ func (e *Engine) wireBus(j *Job) {
 	clock := j.clock
 	j.rt.AddHooks(taskrt.Hooks{
 		Queued: func(name string) {
-			bus.Publish(obs.Event{At: clock.Now(), Kind: obs.TaskQueued, Job: job, Task: name})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: clock.Now(), Kind: obs.TaskQueued, Job: job, Task: name})
+			}
 		},
 		Placed: func(name, device string, cores int, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskPlaced, Job: job, Task: name, Device: device, Value: float64(cores)})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.TaskPlaced, Job: job, Task: name, Device: device, Value: float64(cores)})
+			}
 		},
-		Started: func(rec taskrt.Record) {
-			bus.Publish(obs.Event{At: rec.Start, Kind: obs.TaskStarted, Job: job, Task: rec.Name, Device: rec.Device, Value: float64(rec.DrawW)})
+		Started: func(rec *taskrt.Record) {
+			if bus.Active() {
+				bus.Publish(obs.Event{At: rec.Start, Kind: obs.TaskStarted, Job: job, Task: rec.Name, Device: rec.Device, Value: float64(rec.DrawW)})
+			}
 		},
-		Finished: func(rec taskrt.Record) {
+		Finished: func(rec *taskrt.Record) {
+			if !bus.Active() {
+				return
+			}
 			if rec.Shed {
 				bus.Publish(obs.Event{At: rec.End, Kind: obs.TaskShed, Job: job, Task: rec.Name, Detail: "deadline"})
 				return
@@ -547,25 +590,34 @@ func (e *Engine) wireBus(j *Job) {
 			bus.Publish(obs.Event{At: rec.End, Kind: obs.TaskCompleted, Job: job, Task: rec.Name, Device: rec.Device, Value: float64(rec.EnergyJ), Detail: detail})
 		},
 		Retried: func(name string, attempt int, reason string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskRetried, Job: job, Task: name, Value: float64(attempt), Detail: reason})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.TaskRetried, Job: job, Task: name, Value: float64(attempt), Detail: reason})
+			}
 		},
 		Failed: func(name, reason string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskFailed, Job: job, Task: name, Detail: reason})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.TaskFailed, Job: job, Task: name, Detail: reason})
+			}
 		},
 		DeviceLost: func(deviceID string, revoked, restored int, at sim.Time) {
-			if !bus.Active() {
-				return // skip the Sprintf nobody would read
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.DeviceLost, Job: job, Device: deviceID, Value: float64(revoked),
+					Detail: fmt.Sprintf("revoked=%d restored=%d", revoked, restored)})
 			}
-			bus.Publish(obs.Event{At: at, Kind: obs.DeviceLost, Job: job, Device: deviceID, Value: float64(revoked),
-				Detail: fmt.Sprintf("revoked=%d restored=%d", revoked, restored)})
 		},
 		Checkpointed: func(tasks int, bytes int64, start, end sim.Time) {
+			if !bus.Active() {
+				return
+			}
 			// Both sides of the interval surface at commit time: begin is
 			// stamped with the capture instant, commit with the landing.
 			bus.Publish(obs.Event{At: start, Kind: obs.CheckpointBegin, Job: job, Value: float64(bytes)})
 			bus.Publish(obs.Event{At: end, Kind: obs.CheckpointCommit, Job: job, Value: float64(tasks)})
 		},
 		Straggler: func(name, device string, expected, elapsed sim.Time) {
+			if !bus.Active() {
+				return
+			}
 			stretch := 0.0
 			if expected > 0 {
 				stretch = float64(elapsed) / float64(expected)
@@ -573,9 +625,14 @@ func (e *Engine) wireBus(j *Job) {
 			bus.Publish(obs.Event{At: clock.Now(), Kind: obs.HedgeArmed, Job: job, Task: name, Device: device, Value: stretch})
 		},
 		Hedged: func(name, from, to string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.HedgeLaunched, Job: job, Task: name, Device: to, Detail: "from " + from})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.HedgeLaunched, Job: job, Task: name, Device: to, Detail: "from " + from})
+			}
 		},
 		HedgeResolved: func(name, winner string, hedgeWon bool, wastedJ energy.Joules, start, end sim.Time) {
+			if !bus.Active() {
+				return
+			}
 			k := obs.HedgeCancelled
 			if hedgeWon {
 				k = obs.HedgeWon
@@ -583,9 +640,14 @@ func (e *Engine) wireBus(j *Job) {
 			bus.Publish(obs.Event{At: end, Kind: k, Job: job, Task: name, Device: winner, Value: float64(wastedJ)})
 		},
 		HedgePromoted: func(name, device string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.HedgePromoted, Job: job, Task: name, Device: device})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.HedgePromoted, Job: job, Task: name, Device: device})
+			}
 		},
 		DeadlineMissed: func(name string, deadline, at sim.Time, shed bool) {
+			if !bus.Active() {
+				return
+			}
 			detail := "late"
 			if shed {
 				detail = "shed"
@@ -593,12 +655,19 @@ func (e *Engine) wireBus(j *Job) {
 			bus.Publish(obs.Event{At: at, Kind: obs.DeadlineMissed, Job: job, Task: name, Value: sim.ToSeconds(deadline), Detail: detail})
 		},
 		PowerAdmitted: func(name, device string, watts energy.Watts, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.PowerAdmitted, Job: job, Task: name, Device: device, Value: float64(watts)})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.PowerAdmitted, Job: job, Task: name, Device: device, Value: float64(watts)})
+			}
 		},
 		PowerRefused: func(name, device string, watts energy.Watts, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.PowerRefused, Job: job, Task: name, Device: device, Value: float64(watts)})
+			if bus.Active() {
+				bus.Publish(obs.Event{At: at, Kind: obs.PowerRefused, Job: job, Task: name, Device: device, Value: float64(watts)})
+			}
 		},
 		Rescaled: func(device string, from, to int, at sim.Time) {
+			if !bus.Active() {
+				return
+			}
 			k := obs.GovernorThrottled
 			if to < from {
 				k = obs.GovernorRestored

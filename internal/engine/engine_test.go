@@ -13,17 +13,18 @@ import (
 	"legato/internal/taskrt"
 )
 
-// testPlatform mirrors a two-device platform: an 8-core CPU and a 4-region
+// testFleet is a two-device reference fleet: an 8-core CPU and a 4-region
 // FPGA, enough to exercise placement and admission.
-func testPlatform(se *sim.Engine) ([]*hw.Device, error) {
+func testFleet() []*hw.Device {
+	se := sim.NewEngine()
 	cpu := hw.Spec{Name: "cpu", Class: hw.CPUx86, Cores: 8, GOPS: 80, IdleWatts: 10, PeakWatts: 60}
 	fpga := hw.Spec{Name: "fpga", Class: hw.FPGA, Cores: 4, GOPS: 120, IdleWatts: 5, PeakWatts: 25}
-	return []*hw.Device{hw.NewDevice(se, "dev/cpu", cpu), hw.NewDevice(se, "dev/fpga", fpga)}, nil
+	return []*hw.Device{hw.NewDevice(se, "dev/cpu", cpu), hw.NewDevice(se, "dev/fpga", fpga)}
 }
 
 func newTestEngine(t testing.TB, workers int) *Engine {
 	t.Helper()
-	e, err := New(Config{Workers: workers, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: workers, Policy: taskrt.MinTime, Fleet: testFleet(),
 		Registry: monitor.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +58,7 @@ func chainJob(t testing.TB, e *Engine, name string, depth, cores int, fn func())
 }
 
 func TestFleetLedger(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
+	devs := testFleet()
 	f := NewFleet(devs)
 	if !f.TryAcquire("dev/cpu", 8) {
 		t.Fatal("full acquire refused")
@@ -195,7 +195,7 @@ func TestPerJobTimeout(t *testing.T) {
 }
 
 func TestShutdownDrains(t *testing.T) {
-	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, NewPlatform: testPlatform})
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: testFleet()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // power ledger (idle and granted dynamic watts), and late releases from
 // jobs crossing the crash on private clocks must not double-release.
 func TestPowerLedgerWiredToFleet(t *testing.T) {
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testFleet(),
 		PowerCapW: 100, Governor: power.PackAndThrottle})
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func TestPowerLedgerWiredToFleet(t *testing.T) {
 	defer func() { _ = e.Shutdown(context.Background()) }()
 
 	pw := e.Power()
-	// testPlatform idles at 10 + 5 = 15 W.
+	// testFleet idles at 10 + 5 = 15 W.
 	if got := pw.Draw(); got != 15 {
 		t.Fatalf("initial draw = %v, want 15 W idle floor", got)
 	}
@@ -47,11 +47,11 @@ func TestPowerLedgerWiredToFleet(t *testing.T) {
 // whole session: the modelled fleet draw never exceeded the cap, before or
 // after the loss, and every job still completed.
 func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
-	// testPlatform peak: cpu 60 + fpga 25 = 85 W. A 60 W cap forces the
+	// testFleet peak: cpu 60 + fpga 25 = 85 W. A 60 W cap forces the
 	// watt ledger to arbitrate: cpu full-width draw is 50 W dynamic + 15 W
 	// idle = 65 W > cap, so wide cpu placements must wait for headroom.
 	const capW = 60
-	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: testFleet(),
 		PowerCapW: capW, Governor: power.PackAndThrottle})
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +107,15 @@ func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
 // idle floor alone exhausts would park every placement forever, so the
 // engine must refuse to start instead.
 func TestInfeasibleCapRejected(t *testing.T) {
-	// testPlatform idles at 15 W.
+	// testFleet idles at 15 W.
 	for _, capW := range []float64{1, 15} {
-		_, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+		_, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testFleet(),
 			PowerCapW: capW})
 		if err == nil {
 			t.Fatalf("cap %v W at or below the idle floor was accepted", capW)
 		}
 	}
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testFleet(),
 		PowerCapW: 16})
 	if err != nil {
 		t.Fatalf("barely-feasible cap rejected: %v", err)

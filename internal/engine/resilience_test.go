@@ -21,8 +21,7 @@ import (
 // releases pay it down, no Release ever panics, and the oversubscription
 // witness Peak(id) ≤ Capacity(id) holds against the *current* capacity.
 func TestFleetCapacityShrinkDeficit(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
+	devs := testFleet()
 	f := NewFleet(devs)
 
 	if !f.TryAcquire("dev/cpu", 6) {
@@ -54,8 +53,7 @@ func TestFleetCapacityShrinkDeficit(t *testing.T) {
 // Fail and SetCapacity must wake admission waiters just like Release does —
 // a parked job that missed the wakeup would deadlock the session.
 func TestFleetFailSignalsWaiters(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
+	devs := testFleet()
 	f := NewFleet(devs)
 
 	ch := f.Changed()
@@ -155,7 +153,7 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 	// MTBF of one microsecond: the sampled crash lands at the very start of
 	// the session, before any placement settles.
 	plan := faults.Plan{MTBF: ft.MTBFModel{hw.FPGA: 1e-6}, MaxCrashes: 1, Seed: 1}
-	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: testFleet(),
 		Registry: reg, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
@@ -197,14 +195,15 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 	}
 }
 
-// tailTestPlatform is the tail-tolerance pair: dev/fast is the MinTime
+// tailTestFleet is the tail-tolerance pair: dev/fast is the MinTime
 // favourite (a 100-Gop 1-core task takes 4 s), dev/backup a slower device
 // of a different class (5.56 s) for replicas to land on.
-func tailTestPlatform(se *sim.Engine) ([]*hw.Device, error) {
+func tailTestFleet() []*hw.Device {
+	se := sim.NewEngine()
 	return []*hw.Device{
 		hw.NewDevice(se, "dev/fast", hw.XeonD()),
 		hw.NewDevice(se, "dev/backup", hw.ARMv8Server()),
-	}, nil
+	}
 }
 
 // End-to-end degrade → straggler → hedge: a fault plan silently slows the
@@ -220,7 +219,7 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 		DegradeSlowdown: 4.0,
 		Seed:            1,
 	}
-	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: tailTestFleet(),
 		Registry: reg, Faults: &plan, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +283,7 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 // straggling primary keeps running and completes, and the job survives
 // without a retry.
 func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: tailTestFleet(),
 		Registry: monitor.NewRegistry(), Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -337,5 +336,79 @@ func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 	}
 	if !e.Fleet().Lost("dev/backup") {
 		t.Fatal("fleet does not record the backup loss")
+	}
+}
+
+// Started fires once per attempt but Finished once per task, so a crash
+// or an out-voted execution must take its running slot back: after one
+// crash retry and one SDC retry, the job's tasks-running gauge reads 0.
+func TestTasksRunningGaugeSurvivesRetries(t *testing.T) {
+	reg := monitor.NewRegistry()
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testFleet(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	j, err := e.NewJob("retried")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := j.Runtime()
+	rt.SetRetryPolicy(3, time.Millisecond)
+	corrupted := false
+	rt.SetCorruptor(func(rec taskrt.Record) bool {
+		// The first execution to complete on the CPU is out-voted.
+		if corrupted || rec.Device != "dev/cpu" {
+			return false
+		}
+		corrupted = true
+		return true
+	})
+	for i := 0; i < 3; i++ {
+		if err := rt.Submit(taskrt.Task{Name: fmt.Sprintf("t%d", i), Gops: 20, Critical: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The FPGA is the MinTime favourite; losing it mid-task revokes the
+	// executions on it.
+	rt.ScheduleFault(time.Millisecond, func() { rt.FailDevice("dev/fpga") })
+	if err := e.Submit(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.ScopeSnapshot("job/retried")
+	if reg.Get("faults", "retry-crash") == 0 || reg.Get("faults", "retry-sdc") != 1 {
+		t.Fatalf("want crash and sdc retries, faults scope %+v", reg.ScopeSnapshot("faults"))
+	}
+	if snap["tasks-completed"] != 3 || snap["tasks-running"] != 0 {
+		t.Fatalf("job scope %+v: want 3 completed, 0 running", snap)
+	}
+}
+
+// Every job runs on a mirror of Config.Fleet: same IDs in the same order,
+// distinct devices on the job's own clock.
+func TestJobMirrorsCarryFleetIDs(t *testing.T) {
+	fleet := testFleet()
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	for _, name := range []string{"a", "b"} {
+		j, err := e.NewJob(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := j.Devices()
+		if len(devs) != len(fleet) {
+			t.Fatalf("job %s: %d devices, fleet has %d", name, len(devs), len(fleet))
+		}
+		for i, d := range devs {
+			if d.ID != fleet[i].ID || d == fleet[i] {
+				t.Fatalf("job %s device %d: %q (shared=%v), want a copy of %q", name, i, d.ID, d == fleet[i], fleet[i].ID)
+			}
+		}
 	}
 }

@@ -27,10 +27,11 @@ type MultiJobRow struct {
 	PeakDrawW       float64 // high-water mark of the modelled fleet draw
 }
 
-// cloudFleet builds the standard RECS|BOX device list on the given clock,
-// the same platform the public API uses for CloudPlatform.
-func cloudFleet(se *sim.Engine) ([]*hw.Device, error) {
-	box, err := hw.StandardCloudBox(se, "recs0")
+// cloudFleet builds the standard RECS|BOX device list, the same platform
+// the public API uses for CloudPlatform. It is a reference fleet: jobs run
+// on mirrors of it, so its own clock never advances.
+func cloudFleet() ([]*hw.Device, error) {
+	box, err := hw.StandardCloudBox(sim.NewEngine(), "recs0")
 	if err != nil {
 		return nil, err
 	}
@@ -72,10 +73,14 @@ func MultiJob(widths []int, jobs int) ([]MultiJobRow, error) {
 	rows := make([]MultiJobRow, 0, len(widths))
 	var baseline sim.Time
 	for _, w := range widths {
+		ref, err := cloudFleet()
+		if err != nil {
+			return nil, err
+		}
 		e, err := engine.New(engine.Config{
-			Workers:     w,
-			Policy:      taskrt.MinTime,
-			NewPlatform: cloudFleet,
+			Workers: w,
+			Policy:  taskrt.MinTime,
+			Fleet:   ref,
 		})
 		if err != nil {
 			return nil, err

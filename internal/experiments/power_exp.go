@@ -88,12 +88,16 @@ func powerGraph(rt *taskrt.Runtime, name string) error {
 // powerSession runs one session of `jobs` power-graph jobs on the cloud
 // fleet under the given policy, cap (0 = uncapped) and governor.
 func powerSession(jobs, workers int, policy taskrt.Policy, capW float64, gov power.Kind) (engine.Stats, error) {
+	ref, err := cloudFleet()
+	if err != nil {
+		return engine.Stats{}, err
+	}
 	e, err := engine.New(engine.Config{
-		Workers:     workers,
-		Policy:      policy,
-		NewPlatform: cloudFleet,
-		PowerCapW:   capW,
-		Governor:    gov,
+		Workers:   workers,
+		Policy:    policy,
+		Fleet:     ref,
+		PowerCapW: capW,
+		Governor:  gov,
 	})
 	if err != nil {
 		return engine.Stats{}, err
@@ -137,8 +141,7 @@ func measuredEDP(st engine.Stats) float64 {
 // MinEnergy, MinEDP) compared on measured EDP. Every session runs on
 // private virtual clocks, so the whole study is deterministic.
 func PowerCap(jobs, workers int) (*PowerCapResult, error) {
-	refClock := sim.NewEngine()
-	ref, err := cloudFleet(refClock)
+	ref, err := cloudFleet()
 	if err != nil {
 		return nil, err
 	}

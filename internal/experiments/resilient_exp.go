@@ -88,12 +88,16 @@ func multiJobGraphSized(rt *taskrt.Runtime, name string, chains, depth int, byte
 // given fault plan (nil = fault-free) and returns the engine stats plus
 // per-device peak/capacity from the ledger.
 func resilientSession(jobs, workers int, plan *faults.Plan, ckptEvery int, reg *monitor.Registry) (engine.Stats, *engine.Fleet, error) {
+	ref, err := cloudFleet()
+	if err != nil {
+		return engine.Stats{}, nil, err
+	}
 	e, err := engine.New(engine.Config{
-		Workers:     workers,
-		Policy:      taskrt.MinTime,
-		NewPlatform: cloudFleet,
-		Registry:    reg,
-		Faults:      plan,
+		Workers:  workers,
+		Policy:   taskrt.MinTime,
+		Fleet:    ref,
+		Registry: reg,
+		Faults:   plan,
 	})
 	if err != nil {
 		return engine.Stats{}, nil, err
@@ -163,8 +167,7 @@ func Resilient(jobs, workers int, seed int64) (*ResilientResult, error) {
 	for class := range ft.DefaultMTBFModel() {
 		model[class] = mtbfSec
 	}
-	refClock := sim.NewEngine()
-	ref, err := cloudFleet(refClock)
+	ref, err := cloudFleet()
 	if err != nil {
 		return nil, err
 	}

@@ -112,6 +112,18 @@ func NewDevice(eng *sim.Engine, id string, spec Spec) *Device {
 	return d
 }
 
+// Mirror instantiates a fresh copy of every reference device on eng, in
+// order: same ID and Spec, but healthy, idle, at the nominal DVFS state and
+// with its own meter. It is how a job gets a private view of the shared
+// fleet without rebuilding the chassis around it.
+func Mirror(eng *sim.Engine, ref []*Device) []*Device {
+	out := make([]*Device, len(ref))
+	for i, d := range ref {
+		out[i] = NewDevice(eng, d.ID, d.Spec)
+	}
+	return out
+}
+
 // Meter exposes the device power meter.
 func (d *Device) Meter() *energy.Meter { return d.meter }
 

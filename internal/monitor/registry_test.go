@@ -87,3 +87,99 @@ func TestRegistryReportSortedDeterministic(t *testing.T) {
 		t.Fatalf("metrics not sorted within scope:\n%s", ra)
 	}
 }
+
+// Concurrent Add, AddCell, cell Add, Set and Snapshot on shared metrics:
+// run under -race. Every add lands exactly once.
+func TestRegistryCellsConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var c *Cell
+			for i := 0; i < perWriter; i++ {
+				r.Add("job/a", "locked", 1)
+				if c == nil {
+					c = r.AddCell("job/a", "cell", 1)
+				} else {
+					c.Add(1)
+				}
+				r.Set("power", "draw-W", float64(g))
+				_ = r.Snapshot()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := r.Get("job/a", "locked"); got != writers*perWriter {
+		t.Fatalf("locked adds: %v, want %d", got, writers*perWriter)
+	}
+	if got := r.Get("job/a", "cell"); got != writers*perWriter {
+		t.Fatalf("cell adds: %v, want %d", got, writers*perWriter)
+	}
+}
+
+// A metric enters Snapshot and Scopes only with its first write, whether
+// that write is an Add, an AddCell or a Set; reads never create one.
+func TestRegistryMetricAppearsOnFirstWrite(t *testing.T) {
+	r := NewRegistry()
+	if r.Get("job/a", "m") != 0 || len(r.Snapshot()) != 0 || len(r.Scopes()) != 0 || len(r.ScopeSnapshot("job/a")) != 0 {
+		t.Fatal("reads created a metric")
+	}
+	c := r.AddCell("job/a", "m", 0.5)
+	if snap := r.Snapshot(); len(snap) != 1 || snap["job/a"]["m"] != 0.5 {
+		t.Fatalf("after AddCell: %v", snap)
+	}
+	if _, ok := r.Snapshot()["job/a"]["n"]; ok {
+		t.Fatal("unwritten metric in snapshot")
+	}
+	r.Set("power", "cap-W", 60)
+	if got := r.Scopes(); len(got) != 2 || got[0] != "job/a" || got[1] != "power" {
+		t.Fatalf("scopes: %v", got)
+	}
+	c.Add(1)
+	if r.Get("job/a", "m") != 1.5 {
+		t.Fatalf("cell add not visible: %v", r.Get("job/a", "m"))
+	}
+}
+
+// Add and the cell AddCell returns address one value: writes through
+// either are seen by both, and Set overwrites what the cell holds.
+func TestRegistryAddAndCellShareValue(t *testing.T) {
+	r := NewRegistry()
+	r.Add("device/d0", "energy-J", 2)
+	c := r.AddCell("device/d0", "energy-J", 3)
+	if c.Load() != 5 || r.Get("device/d0", "energy-J") != 5 {
+		t.Fatalf("AddCell onto Add: cell %v, registry %v", c.Load(), r.Get("device/d0", "energy-J"))
+	}
+	if again := r.AddCell("device/d0", "energy-J", 0); again != c {
+		t.Fatal("AddCell returned a second cell for one metric")
+	}
+	c.Add(1)
+	r.Add("device/d0", "energy-J", 1)
+	if c.Load() != 7 || r.Snapshot()["device/d0"]["energy-J"] != 7 {
+		t.Fatalf("after mixed adds: cell %v, snapshot %v", c.Load(), r.Snapshot())
+	}
+	r.Set("device/d0", "energy-J", 1)
+	if c.Load() != 1 {
+		t.Fatalf("Set not visible through the cell: %v", c.Load())
+	}
+}
+
+// BenchmarkRegistryAdd compares the locked Add (mutex plus two map
+// lookups) with an add through a cached cell.
+func BenchmarkRegistryAdd(b *testing.B) {
+	b.Run("locked", func(b *testing.B) {
+		r := NewRegistry()
+		for i := 0; i < b.N; i++ {
+			r.Add("job/bench", "tasks-completed", 1)
+		}
+	})
+	b.Run("cell", func(b *testing.B) {
+		c := NewRegistry().AddCell("job/bench", "tasks-completed", 0)
+		for i := 0; i < b.N; i++ {
+			c.Add(1)
+		}
+	})
+}

@@ -158,7 +158,8 @@ func SDCProbability(level int) float64 {
 // sibling of the engine's core-admission ledger and is safe for concurrent
 // use. OperatingPoint, read by every runtime on every dispatch round, takes
 // no lock: each device's prescribed state sits in an atomic slot of a map
-// whose keys are fixed at construction. Every write happens under mu.
+// whose keys are fixed at construction, and a governor that never throttles
+// answers without touching the map. Every write happens under mu.
 type Ledger struct {
 	mu   sync.Mutex
 	capW energy.Watts
@@ -285,8 +286,13 @@ func (l *Ledger) Rescales() uint64 {
 }
 
 // OperatingPoint returns the DVFS state index the governor currently
-// prescribes for a device (0 = nominal, also for unknown devices).
+// prescribes for a device (0 = nominal, also for unknown devices). Only
+// PackAndThrottle ever moves a point, so under any other governor the
+// answer is 0 without a lookup.
 func (l *Ledger) OperatingPoint(deviceID string) int {
+	if l.gov != PackAndThrottle {
+		return 0
+	}
 	if p, ok := l.point[deviceID]; ok {
 		return int(p.Load())
 	}

@@ -129,14 +129,16 @@ type PowerAdmission interface {
 // Hooks observe the task lifecycle. Hooks registered with AddHooks are
 // invoked on the goroutine driving the runtime: Queued at submission,
 // Started when a task begins executing on a device, Finished when it
-// completes (with the full Record). The resilience hooks fire on recovery
+// completes (with the full Record). Started and Finished get the task's
+// live record: a hook may read it during the call but must neither keep
+// the pointer nor write through it. The resilience hooks fire on recovery
 // events: Retried when a failed/corrupted execution is re-queued,
 // DeviceLost when a device is failed mid-run, Checkpointed when an
 // asynchronous checkpoint lands. Any field may be nil.
 type Hooks struct {
 	Queued   func(name string)
-	Started  func(Record)
-	Finished func(Record)
+	Started  func(*Record)
+	Finished func(*Record)
 	// Retried fires when a task execution is abandoned and re-queued;
 	// reason is "crash", "sdc" or "restore".
 	Retried func(name string, attempt int, reason string, at sim.Time)
@@ -244,6 +246,7 @@ type Task struct {
 // speculative hedge replica racing it on a different device.
 type exec struct {
 	dev      *hw.Device
+	slot     int // dev's position in Runtime.devices
 	cores    int
 	watts    energy.Watts // watt-ledger grant held (0 without a power ledger)
 	draw     energy.Watts // modelled dynamic draw (waste accounting)
@@ -347,12 +350,11 @@ type Runtime struct {
 	adm     Admission      // nil: sole owner of its devices
 	pow     PowerAdmission // nil: no fleet watt budget
 	hooks   []Hooks
-	held    map[string]int          // admission grants currently held, by device ID
-	heldW   map[string]energy.Watts // watt grants currently held, by device ID
-	blocked bool                    // a ready task lost admission this dispatch round
+	held    []int          // admission grants currently held, by device slot
+	heldW   []energy.Watts // watt grants currently held, by device slot
+	blocked bool           // a ready task lost admission this dispatch round
 
-	// Resilience state.
-	running      map[*node]struct{}
+	// Resilience state. A node is running exactly while n.primary != nil.
 	retryMax     int      // default attempt budget (extra executions)
 	retryBackoff sim.Time // base backoff, doubled per attempt
 	corrupt      func(Record) bool
@@ -390,9 +392,8 @@ type Runtime struct {
 func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	return &Runtime{
 		eng: eng, devices: devices, policy: policy,
-		held:         make(map[string]int),
-		heldW:        make(map[string]energy.Watts),
-		running:      make(map[*node]struct{}),
+		held:         make([]int, len(devices)),
+		heldW:        make([]energy.Watts, len(devices)),
 		retryBackoff: time.Millisecond,
 	}
 }
@@ -471,7 +472,7 @@ func (r *Runtime) DegradeDevice(id string, factor float64) {
 	ratio := factor / old
 	now := r.eng.Now()
 	for _, n := range r.nodes {
-		if _, ok := r.running[n]; !ok {
+		if n.primary == nil {
 			continue
 		}
 		for _, ex := range [2]*exec{n.primary, n.hedge} {
@@ -846,7 +847,7 @@ func (r *Runtime) dispatch() {
 				}
 			}
 			r.ready = append(r.ready[:qi], r.ready[qi+1:]...)
-			r.start(n, dev, watts)
+			r.start(n, best, watts)
 			assigned = true
 			break
 		}
@@ -856,24 +857,25 @@ func (r *Runtime) dispatch() {
 	}
 }
 
-// launch builds one execution of n on dev: the device meter is charged,
-// the completion event is scheduled (stretched by any silent slowdown),
-// and the held-grant maps advance. The caller has already won global
-// admission for the cores and watts.
-func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool) *exec {
+// launch builds one execution of n on the device in the given slot: the
+// device meter is charged, the completion event is scheduled (stretched by
+// any silent slowdown), and the held-grant slots advance. The caller has
+// already won global admission for the cores and watts.
+func (r *Runtime) launch(n *node, slot int, watts energy.Watts, hedge bool) *exec {
 	t := &n.task
+	dev := r.devices[slot]
 	if r.adm != nil {
-		r.held[dev.ID] += t.Cores
+		r.held[slot] += t.Cores
 	}
 	if r.pow != nil {
-		r.heldW[dev.ID] += watts
+		r.heldW[slot] += watts
 	}
 	now := r.eng.Now()
 	factor := r.deviceSlowdown(dev.ID)
 	expected := dev.ExecTime(t.Gops, t.Cores)
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
-		dev: dev, cores: t.Cores, watts: watts,
+		dev: dev, slot: slot, cores: t.Cores, watts: watts,
 		draw:     taskDrawW(t, dev),
 		energy:   energy.Joules(float64(dev.EnergyFor(t.Gops, t.Cores)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
 		start:    now,
@@ -889,11 +891,12 @@ func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool
 	return ex
 }
 
-// start runs n on dev as the primary execution. The caller has already won
-// global admission for the task's cores (and watts of draw) when shared
-// ledgers are installed.
-func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
+// start runs n as the primary execution on the device in the given slot.
+// The caller has already won global admission for the task's cores (and
+// watts of draw) when shared ledgers are installed.
+func (r *Runtime) start(n *node, slot int, watts energy.Watts) {
 	t := &n.task
+	dev := r.devices[slot]
 	if err := dev.Acquire(t.Cores); err != nil {
 		// Raced with another assignment; requeue and give back admission.
 		if r.adm != nil {
@@ -912,7 +915,7 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 			h.Placed(t.Name, dev.ID, t.Cores, r.eng.Now())
 		}
 	}
-	n.primary = r.launch(n, dev, watts, false)
+	n.primary = r.launch(n, slot, watts, false)
 	n.record.Device = dev.ID
 	n.record.Class = dev.Spec.Class
 	n.record.Start = n.primary.start
@@ -920,10 +923,9 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 	n.record.DrawW = n.primary.draw
 	n.record.Hedged = false
 	n.record.Attempts++
-	r.running[n] = struct{}{}
 	for _, h := range r.hooks {
 		if h.Started != nil {
-			h.Started(n.record)
+			h.Started(&n.record)
 		}
 	}
 }
@@ -932,11 +934,11 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 func (r *Runtime) releaseExec(ex *exec) {
 	ex.dev.Release(ex.cores)
 	if r.adm != nil {
-		r.held[ex.dev.ID] -= ex.cores
+		r.held[ex.slot] -= ex.cores
 		r.adm.Release(ex.dev.ID, ex.cores)
 	}
 	if r.pow != nil {
-		r.heldW[ex.dev.ID] -= ex.watts
+		r.heldW[ex.slot] -= ex.watts
 		r.pow.ReleaseDraw(ex.dev.ID, ex.watts)
 	}
 }
@@ -1048,7 +1050,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 	n.hedges++
 	r.hedgesLaunched++
-	n.hedge = r.launch(n, dev, watts, true)
+	n.hedge = r.launch(n, best, watts, true)
 	for _, h := range r.hooks {
 		if h.Hedged != nil {
 			h.Hedged(n.task.Name, ex.dev.ID, dev.ID, now)
@@ -1063,7 +1065,6 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 func (r *Runtime) complete(n *node, ex *exec) {
 	t := &n.task
 	now := r.eng.Now()
-	delete(r.running, n)
 	r.releaseExec(ex)
 	ex.watchdog.Cancel()
 	var loser *exec
@@ -1139,7 +1140,7 @@ func (r *Runtime) finishNode(n *node) {
 	}
 	for _, h := range r.hooks {
 		if h.Finished != nil {
-			h.Finished(n.record)
+			h.Finished(&n.record)
 		}
 	}
 	for _, s := range n.succ {
@@ -1276,7 +1277,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 	// losing the hedge's device cancels just the replica, while losing the
 	// primary's device promotes a surviving replica instead of retrying.
 	for _, n := range r.nodes {
-		if _, ok := r.running[n]; !ok {
+		if n.primary == nil {
 			continue
 		}
 		if h := n.hedge; h != nil && h.dev.ID == id {
@@ -1308,7 +1309,6 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			continue
 		}
 		n.primary = nil
-		delete(r.running, n)
 		n.started = false
 		r.retry(n, "crash")
 	}
@@ -1550,23 +1550,16 @@ func (r *Runtime) stuckErr(n *node) error {
 }
 
 // releaseHeld returns every admission grant — cores and watts — still held
-// by in-flight tasks, so a cancelled job cannot strand fleet capacity or
-// watt budget.
+// by in-flight tasks, in device order, so a cancelled job cannot strand
+// fleet capacity or watt budget.
 func (r *Runtime) releaseHeld() {
-	if r.adm != nil {
-		for id, n := range r.held {
-			if n > 0 {
-				r.adm.Release(id, n)
-			}
-			delete(r.held, id)
+	for slot, dev := range r.devices {
+		if n := r.held[slot]; n > 0 && r.adm != nil {
+			r.adm.Release(dev.ID, n)
 		}
-	}
-	if r.pow != nil {
-		for id, w := range r.heldW {
-			if w > 0 {
-				r.pow.ReleaseDraw(id, w)
-			}
-			delete(r.heldW, id)
+		if w := r.heldW[slot]; w > 0 && r.pow != nil {
+			r.pow.ReleaseDraw(dev.ID, w)
 		}
+		r.held[slot], r.heldW[slot] = 0, 0
 	}
 }

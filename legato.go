@@ -188,6 +188,9 @@ const (
 // provide one; production systems must use WithRootKey.
 const devRootKey = "legato-development-root-key-0000"
 
+// enclaveCode is the code identity measured into every job enclave.
+const enclaveCode = "legato-system-enclave"
+
 // settings is the resolved configuration of a System.
 type settings struct {
 	platform  PlatformKind
@@ -443,7 +446,8 @@ type System struct {
 	evsub *obs.Subscription
 }
 
-// buildPlatform constructs a platform instance on the given clock.
+// buildPlatform constructs the reference platform on the given clock; every
+// job runs on a mirror of its devices.
 func buildPlatform(kind PlatformKind, je *sim.Engine) (*hw.RECSBox, *hw.EdgeServer, []*hw.Device, error) {
 	switch kind {
 	case EdgePlatform:
@@ -480,7 +484,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		}
 	}
 	// Validate the security configuration before spinning anything up.
-	if _, err := secure.New(set.tee, []byte("legato-system-enclave"), set.rootKey); err != nil {
+	if _, err := secure.New(set.tee, []byte(enclaveCode), set.rootKey); err != nil {
 		return nil, err
 	}
 
@@ -507,12 +511,8 @@ func NewSystem(opts ...Option) (*System, error) {
 	}
 
 	s.eng, err = engine.New(engine.Config{
-		Workers: set.workers,
-		Policy:  set.policy,
-		NewPlatform: func(je *sim.Engine) ([]*hw.Device, error) {
-			_, _, devices, err := buildPlatform(set.platform, je)
-			return devices, err
-		},
+		Workers:      set.workers,
+		Policy:       set.policy,
 		Fleet:        fleet,
 		Registry:     s.reg,
 		Bus:          s.bus,
@@ -766,13 +766,13 @@ func (h DataHandle) Size() int64 {
 // Task, Submit), then Run it under a context; a Job runs once.
 // A Job is safe for concurrent use while building.
 type Job struct {
-	sys     *System
-	ej      *engine.Job
-	name    string
-	enclave *secure.Enclave
-	tracer  *trace.Tracer
+	sys    *System
+	ej     *engine.Job
+	name   string
+	tracer *trace.Tracer
 
 	mu        sync.Mutex
+	enclave   *secure.Enclave // built by the first secure task
 	data      map[string]*taskrt.Data
 	replicas  int
 	submitted int
@@ -793,12 +793,8 @@ func (s *System) NewJob(name string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	enclave, err := secure.New(s.set.tee, []byte("legato-system-enclave"), s.set.rootKey)
-	if err != nil {
-		return nil, err
-	}
 	j := &Job{
-		sys: s, ej: ej, name: name, enclave: enclave,
+		sys: s, ej: ej, name: name,
 		tracer: trace.New(ej.Clock()),
 		data:   make(map[string]*taskrt.Data),
 	}
@@ -822,8 +818,8 @@ func (s *System) NewJob(name string) (*Job, error) {
 				Start: at, End: at,
 			})
 		},
-		Started: func(rec taskrt.Record) { samplePower(rec.Start) },
-		Finished: func(rec taskrt.Record) {
+		Started: func(rec *taskrt.Record) { samplePower(rec.Start) },
+		Finished: func(rec *taskrt.Record) {
 			if rec.Shed {
 				j.tracer.Add(trace.Span{
 					Name:     fmt.Sprintf("%s#shed", rec.Name),
@@ -962,7 +958,7 @@ func (j *Job) declareLocked(names []string) []*taskrt.Data {
 
 // diverseClasses returns distinct device classes present on the job's
 // platform mirror that can serve the task, for replica diversity.
-func (j *Job) diverseClasses(t Task) []hw.Class {
+func (j *Job) diverseClasses(t *Task) []hw.Class {
 	seen := map[hw.Class]bool{}
 	var classes []hw.Class
 	for _, d := range j.ej.Devices() {
@@ -989,15 +985,21 @@ func (j *Job) diverseClasses(t Task) []hw.Class {
 	return classes
 }
 
+// taskDeps are a task's data regions, resolved.
+type taskDeps struct{ in, out, inout []*taskrt.Data }
+
 // Submit adds a task to the job, expanding replication and security
 // requirements into the underlying task graph.
 func (j *Job) Submit(t Task) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.submitLocked(t)
+	return j.submitLocked(&t, nil)
 }
 
-func (j *Job) submitLocked(t Task) error {
+// submitLocked validates t and adds it to the graph. deps carries the
+// regions a TaskBuilder already holds; nil resolves t's region names
+// (inputs must be declared, outputs are declared on first write).
+func (j *Job) submitLocked(t *Task, deps *taskDeps) error {
 	if t.Name == "" {
 		return fmt.Errorf("legato: task needs a name")
 	}
@@ -1018,15 +1020,25 @@ func (j *Job) submitLocked(t Task) error {
 	if t.Deadline < 0 {
 		return fmt.Errorf("legato: task %q has a non-positive deadline %v: %w", t.Name, t.Deadline, ErrInvalidTask)
 	}
-	ins, err := j.resolveLocked("input", t.In)
-	if err != nil {
-		return err
+	if deps == nil {
+		ins, err := j.resolveLocked("input", t.In)
+		if err != nil {
+			return err
+		}
+		inouts, err := j.resolveLocked("inout", t.InOut)
+		if err != nil {
+			return err
+		}
+		deps = &taskDeps{in: ins, out: j.declareLocked(t.Out), inout: inouts}
 	}
-	inouts, err := j.resolveLocked("inout", t.InOut)
-	if err != nil {
-		return err
+	ins, outs, inouts := deps.in, deps.out, deps.inout
+	if t.Req.Secure && j.enclave == nil {
+		enclave, err := secure.New(j.sys.set.tee, []byte(enclaveCode), j.sys.set.rootKey)
+		if err != nil {
+			return err
+		}
+		j.enclave = enclave
 	}
-	outs := j.declareLocked(t.Out)
 
 	j.submitted++
 	cores := t.Cores
@@ -1043,14 +1055,14 @@ func (j *Job) submitLocked(t Task) error {
 				ioBytes += d.Size
 			}
 		}
-		inner := fn
+		inner, enclave := fn, j.enclave
 		fn = func() {
 			j.mu.Lock()
 			j.secureIO += ioBytes
 			j.mu.Unlock()
-			j.enclave.RunSecure(func() {
-				if blob, err := j.enclave.Seal(make([]byte, min64(ioBytes, 1<<16))); err == nil {
-					_, _ = j.enclave.Unseal(blob)
+			enclave.RunSecure(func() {
+				if blob, err := enclave.Seal(make([]byte, min64(ioBytes, 1<<16))); err == nil {
+					_, _ = enclave.Unseal(blob)
 				}
 				if inner != nil {
 					inner()
@@ -1183,13 +1195,17 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 // security accounting into the session.
 func (j *Job) buildReport(res *taskrt.Result) {
 	j.mu.Lock()
-	replicas := j.replicas
+	replicas, enclave := j.replicas, j.enclave
 	j.mu.Unlock()
+	securityJ := 0.0
+	if enclave != nil {
+		securityJ = enclave.EnergyNJ * 1e-9
+	}
 	rep := &Report{
 		Makespan:        res.Makespan,
 		Records:         res.Records,
 		TaskEnergyJ:     res.EnergyJ,
-		SecurityEnergyJ: j.enclave.EnergyNJ * 1e-9,
+		SecurityEnergyJ: securityJ,
 		ReplicatedTasks: replicas,
 		Retries:         res.Retries,
 		Restores:        res.Restores,
@@ -1222,7 +1238,7 @@ func (j *Job) buildReport(res *taskrt.Result) {
 type TaskBuilder struct {
 	job  *Job
 	t    Task
-	deps struct{ in, out, inout []string }
+	deps taskDeps // regions taken straight from the handles
 	err  error
 }
 
@@ -1251,8 +1267,9 @@ func (b *TaskBuilder) Priority(p int) *TaskBuilder { b.t.Priority = p; return b 
 // Do attaches a completion callback.
 func (b *TaskBuilder) Do(fn func()) *TaskBuilder { b.t.Fn = fn; return b }
 
-func (b *TaskBuilder) handles(kind string, hs []DataHandle) []string {
-	names := make([]string, 0, len(hs))
+// handles appends the regions behind hs to dst, recording the first
+// foreign or invalid handle as the builder's error.
+func (b *TaskBuilder) handles(dst []*taskrt.Data, kind string, hs []DataHandle) []*taskrt.Data {
 	for _, h := range hs {
 		if !h.Valid() {
 			b.err = fmt.Errorf("legato: task %q: invalid %s handle", b.t.Name, kind)
@@ -1263,26 +1280,26 @@ func (b *TaskBuilder) handles(kind string, hs []DataHandle) []string {
 				b.t.Name, kind, h.Name(), h.job.name)
 			continue
 		}
-		names = append(names, h.Name())
+		dst = append(dst, h.d)
 	}
-	return names
+	return dst
 }
 
 // In declares read dependences.
 func (b *TaskBuilder) In(hs ...DataHandle) *TaskBuilder {
-	b.deps.in = append(b.deps.in, b.handles("input", hs)...)
+	b.deps.in = b.handles(b.deps.in, "input", hs)
 	return b
 }
 
 // Out declares write dependences.
 func (b *TaskBuilder) Out(hs ...DataHandle) *TaskBuilder {
-	b.deps.out = append(b.deps.out, b.handles("output", hs)...)
+	b.deps.out = b.handles(b.deps.out, "output", hs)
 	return b
 }
 
 // InOut declares read-write dependences.
 func (b *TaskBuilder) InOut(hs ...DataHandle) *TaskBuilder {
-	b.deps.inout = append(b.deps.inout, b.handles("inout", hs)...)
+	b.deps.inout = b.handles(b.deps.inout, "inout", hs)
 	return b
 }
 
@@ -1320,9 +1337,9 @@ func (b *TaskBuilder) Submit() error {
 	if b.err != nil {
 		return b.err
 	}
-	t := b.t
-	t.In, t.Out, t.InOut = b.deps.in, b.deps.out, b.deps.inout
-	return b.job.Submit(t)
+	b.job.mu.Lock()
+	defer b.job.mu.Unlock()
+	return b.job.submitLocked(&b.t, &b.deps)
 }
 
 // Report is the outcome of a job run.

@@ -1,6 +1,7 @@
 package legato
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -135,6 +136,31 @@ func TestSecureTaskChargesEnclave(t *testing.T) {
 	}
 	if rep.SecurityEnergyJ <= 0 {
 		t.Fatal("secure task charged no enclave energy")
+	}
+}
+
+// A job without secure tasks never builds an enclave and reports no
+// security energy.
+func TestPlainJobChargesNoSecurityEnergy(t *testing.T) {
+	sys, err := NewSystem(WithPolicy(MinTime))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close(context.Background())
+	job, err := sys.NewJob("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := job.Data("payload", 4096)
+	if err := job.Task("work").Gops(5).In(in).Submit(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SecurityEnergyJ != 0 {
+		t.Fatalf("plain job charged %v J of security energy, want 0", rep.SecurityEnergyJ)
 	}
 }
 

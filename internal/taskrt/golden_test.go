@@ -64,14 +64,16 @@ func goldenGraph(tb testing.TB, rt *taskrt.Runtime, seed int64) {
 }
 
 // goldenRun executes the golden graph under one policy on the cloud
-// platform with a real Fleet and a capped Ledger attached, a crash of the
-// first FPGA, a 4× silent degrade (and half-capacity shrink) of the first
-// x86 CPU, a deterministic SDC oracle and 1.5× hedging.
-func goldenRun(tb testing.TB, policy taskrt.Policy) *taskrt.Result {
+// platform with a real Fleet and a Ledger attached (capped at capFrac of
+// fleet peak under the given governor), a crash of the first FPGA, a 4×
+// silent degrade (and half-capacity shrink) of the first x86 CPU, a
+// deterministic SDC oracle and 1.5× hedging. It also returns the governor's
+// rescale count.
+func goldenRun(tb testing.TB, policy taskrt.Policy, gov power.Kind, capFrac float64) (*taskrt.Result, uint64) {
 	tb.Helper()
 	ref := cloudDevices(tb, sim.NewEngine())
 	fleet := engine.NewFleet(ref)
-	ledger := power.NewLedger(0.6*power.FleetPeakWatts(ref), ref, power.RaceToIdle)
+	ledger := power.NewLedger(capFrac*power.FleetPeakWatts(ref), ref, gov)
 	fleet.AttachPower(ledger)
 
 	eng := sim.NewEngine()
@@ -122,7 +124,7 @@ func goldenRun(tb testing.TB, policy taskrt.Policy) *taskrt.Result {
 	if ledger.PeakDraw() > ledger.Cap() {
 		tb.Fatalf("%v: peak draw %v over cap %v", policy, ledger.PeakDraw(), ledger.Cap())
 	}
-	return res
+	return res, ledger.Rescales()
 }
 
 // recordsDigest hashes the fields of every record that placement decides.
@@ -139,7 +141,10 @@ func recordsDigest(recs []taskrt.Record) string {
 // TestDispatchGolden pins the records of the golden scenario under every
 // policy to digests captured before the dispatch hot path was optimised:
 // filter order, copy-free scoring and the binary-search ready queue must
-// not move a single placement, instant or joule.
+// not move a single placement, instant or joule. The RaceToIdle digests
+// (60% cap, keyed by policy) never see an operating point move; the
+// PackAndThrottle ones (30% cap, keyed "pack-and-throttle/<policy>") pin
+// the path where the governor throttles and restores devices mid-run.
 func TestDispatchGolden(t *testing.T) {
 	want := map[string]string{}
 	f, err := os.Open("testdata/dispatch_golden.txt")
@@ -153,14 +158,26 @@ func TestDispatchGolden(t *testing.T) {
 			want[fields[0]] = fields[1]
 		}
 	}
-	for _, policy := range []taskrt.Policy{taskrt.MinTime, taskrt.MinEnergy, taskrt.MinEDP} {
-		res := goldenRun(t, policy)
-		if res.Retries == 0 || res.Restores+res.SDCDetected == 0 || res.HedgesLaunched == 0 {
-			t.Errorf("%v: scenario misses a recovery path (retries=%d restores=%d sdc=%d hedges=%d)",
-				policy, res.Retries, res.Restores, res.SDCDetected, res.HedgesLaunched)
-		}
-		if got := recordsDigest(res.Records); got != want[policy.String()] {
-			t.Errorf("%v: records digest %s, want %s", policy, got, want[policy.String()])
+	for _, c := range []struct {
+		gov     power.Kind
+		capFrac float64
+	}{{power.RaceToIdle, 0.6}, {power.PackAndThrottle, 0.3}} {
+		for _, policy := range []taskrt.Policy{taskrt.MinTime, taskrt.MinEnergy, taskrt.MinEDP} {
+			key := policy.String()
+			if c.gov != power.RaceToIdle {
+				key = c.gov.String() + "/" + key
+			}
+			res, rescales := goldenRun(t, policy, c.gov, c.capFrac)
+			if res.Retries == 0 || res.Restores+res.SDCDetected == 0 || res.HedgesLaunched == 0 {
+				t.Errorf("%s: scenario misses a recovery path (retries=%d restores=%d sdc=%d hedges=%d)",
+					key, res.Retries, res.Restores, res.SDCDetected, res.HedgesLaunched)
+			}
+			if c.gov == power.PackAndThrottle && rescales == 0 {
+				t.Errorf("%s: the governor never moved an operating point", key)
+			}
+			if got := recordsDigest(res.Records); got != want[key] {
+				t.Errorf("%s: records digest %s, want %s", key, got, want[key])
+			}
 		}
 	}
 }

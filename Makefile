@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench bench-short run-bench clean
+.PHONY: ci vet lint build test race race-wake bench bench-short run-bench clean
 
-ci: vet lint build race bench-short
+ci: vet lint build race race-wake bench-short
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The ledgers' park/wake protocol under the race detector, 20 times over: a
+# lost wake-up shows as a hang, a data race as a report.
+race-wake:
+	$(GO) test -race -count=20 -run 'Wake|Park|Changed|Fleet|Ledger' ./internal/engine ./internal/power ./internal/taskrt
 
 # One iteration of every benchmark — smoke-checks the experiment
 # harness plus the E11 >= 2x throughput, E12 <= 1.5x inflation,

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +153,91 @@ func TestContentionSerializes(t *testing.T) {
 	}
 	if peak, cap := e.Fleet().Peak("dev/fpga"), e.Fleet().Capacity("dev/fpga"); peak > cap {
 		t.Fatalf("fpga oversubscribed: %d > %d", peak, cap)
+	}
+}
+
+// Two jobs on two workers contend for the one 4-region FPGA: each is a
+// chain of three tasks that need its full width, so while one job holds it
+// the other stalls, takes the ledger's change channel, retries once and
+// parks until a release wakes it. The first job to win the FPGA holds its
+// first task until the sibling has stalled twice (the refusal and the retry
+// before the park), so a park really happens. Every record must come out
+// as if the job had run alone, and no goroutine may outlive Shutdown.
+func TestContendedJobParksAndWakes(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: testFleet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	span := testFleet()[1].ExecTime(30, 4)
+	var hold sync.Once
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		j, err := e.NewJob(fmt.Sprintf("fpga%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := j.Runtime()
+		rt.AddHooks(taskrt.Hooks{Started: func(*taskrt.Record) {
+			hold.Do(func() {
+				for end := time.Now().Add(10 * time.Second); e.Fleet().Stalls() < 2 && time.Now().Before(end); {
+					time.Sleep(50 * time.Microsecond)
+				}
+			})
+		}})
+		prev := rt.Data(j.Name+"/d0", 64)
+		for k := 0; k < 3; k++ {
+			next := rt.Data(fmt.Sprintf("%s/d%d", j.Name, k+1), 64)
+			if err := rt.Submit(taskrt.Task{
+				Name: fmt.Sprintf("%s/t%d", j.Name, k), Gops: 30, Cores: 4,
+				Targets: []hw.Class{hw.FPGA},
+				In:      []*taskrt.Data{prev}, Out: []*taskrt.Data{next},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			prev = next
+		}
+		jobs = append(jobs, j)
+		if err := e.Submit(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		res, err := j.Wait(ctx)
+		if err != nil {
+			t.Fatalf("job %s: %v", j.Name, err)
+		}
+		if len(res.Records) != 3 {
+			t.Fatalf("job %s: %d records, want 3", j.Name, len(res.Records))
+		}
+		for k, r := range res.Records {
+			if r.Device != "dev/fpga" || r.Attempts != 1 || r.End-r.Start != span || r.EnergyJ <= 0 {
+				t.Fatalf("job %s record %d: %+v (span %v)", j.Name, k, r, span)
+			}
+			if k > 0 && r.Start < res.Records[k-1].End {
+				t.Fatalf("job %s: task %d started at %v before its input ended at %v",
+					j.Name, k, r.Start, res.Records[k-1].End)
+			}
+		}
+	}
+	f := e.Fleet()
+	if f.Stalls() < 2 {
+		t.Fatalf("%d admission stalls: no job parked", f.Stalls())
+	}
+	if f.InUse("dev/fpga") != 0 || f.Peak("dev/fpga") > f.Capacity("dev/fpga") {
+		t.Fatalf("fpga in use %d, peak %d of %d", f.InUse("dev/fpga"), f.Peak("dev/fpga"), f.Capacity("dev/fpga"))
+	}
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(5 * time.Second); n > before && time.Now().Before(end); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the engine", n, before)
 	}
 }
 

@@ -101,6 +101,10 @@ type Device struct {
 	stateIdx int
 	busy     int // cores currently busy
 	healthy  bool
+
+	// DVFS scales of the current state relative to nominal, recomputed
+	// whenever the state changes (frequency, and f·V² dynamic power).
+	freqScale, powerScale float64
 }
 
 // NewDevice instantiates spec with an identifier; the device starts healthy,
@@ -108,6 +112,7 @@ type Device struct {
 func NewDevice(eng *sim.Engine, id string, spec Spec) *Device {
 	d := &Device{Spec: spec, ID: id, eng: eng, healthy: true}
 	d.meter = energy.NewMeter(eng, id)
+	d.rescale()
 	d.updatePower()
 	return d
 }
@@ -166,28 +171,23 @@ func (d *Device) SetState(i int) error {
 		return fmt.Errorf("hw: device %s has no DVFS state %d", d.ID, i)
 	}
 	d.stateIdx = i
+	d.rescale()
 	d.updatePower()
 	return nil
 }
 
-// freqScale is current frequency relative to nominal.
-func (d *Device) freqScale() float64 {
+// rescale caches the current state's frequency relative to nominal and its
+// dynamic-power scaling f·V² relative to nominal.
+func (d *Device) rescale() {
 	nom := d.Spec.nominal()
 	cur := d.State()
-	if nom.FreqGHz == 0 {
-		return 1
+	d.freqScale, d.powerScale = 1, 1
+	if nom.FreqGHz != 0 {
+		d.freqScale = cur.FreqGHz / nom.FreqGHz
 	}
-	return cur.FreqGHz / nom.FreqGHz
-}
-
-// powerScale is dynamic-power scaling f·V² relative to nominal.
-func (d *Device) powerScale() float64 {
-	nom := d.Spec.nominal()
-	cur := d.State()
-	if nom.FreqGHz == 0 || nom.Voltage == 0 {
-		return 1
+	if nom.FreqGHz != 0 && nom.Voltage != 0 {
+		d.powerScale = (cur.FreqGHz / nom.FreqGHz) * (cur.Voltage / nom.Voltage) * (cur.Voltage / nom.Voltage)
 	}
-	return (cur.FreqGHz / nom.FreqGHz) * (cur.Voltage / nom.Voltage) * (cur.Voltage / nom.Voltage)
 }
 
 // Utilization returns busy cores / total cores in [0,1].
@@ -232,7 +232,7 @@ func (d *Device) updatePower() {
 	if !d.healthy {
 		return
 	}
-	dynamic := (d.Spec.PeakWatts - d.Spec.IdleWatts) * d.Utilization() * d.powerScale()
+	dynamic := (d.Spec.PeakWatts - d.Spec.IdleWatts) * d.Utilization() * d.powerScale
 	d.meter.SetPower(d.Spec.IdleWatts + dynamic)
 }
 
@@ -244,7 +244,7 @@ func (d *Device) DynamicWatts(n int) energy.Watts {
 		return 0
 	}
 	perCore := (d.Spec.PeakWatts - d.Spec.IdleWatts) / float64(d.Spec.Cores)
-	return perCore * float64(n) * d.powerScale()
+	return perCore * float64(n) * d.powerScale
 }
 
 // ExecTime returns the duration for `gops` giga-operations using n cores at
@@ -255,7 +255,7 @@ func (d *Device) ExecTime(gops float64, n int) sim.Time {
 		return 0
 	}
 	perCore := d.Spec.GOPS / float64(d.Spec.Cores)
-	rate := perCore * float64(n) * d.freqScale()
+	rate := perCore * float64(n) * d.freqScale
 	if rate <= 0 {
 		return 0
 	}
@@ -270,5 +270,5 @@ func (d *Device) EnergyFor(gops float64, n int) energy.Joules {
 		return 0
 	}
 	perCoreDyn := (d.Spec.PeakWatts - d.Spec.IdleWatts) / float64(d.Spec.Cores)
-	return perCoreDyn * float64(n) * d.powerScale() * t
+	return perCoreDyn * float64(n) * d.powerScale * t
 }

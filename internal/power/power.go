@@ -156,28 +156,38 @@ func SDCProbability(level int) float64 {
 // the static (idle) draw of every healthy device plus the dynamic draw of
 // every admitted task, across all concurrently executing jobs. It is the
 // sibling of the engine's core-admission ledger and is safe for concurrent
-// use. OperatingPoint, read by every runtime on every dispatch round, takes
-// no lock: each device's prescribed state sits in an atomic slot of a map
-// whose keys are fixed at construction, and a governor that never throttles
-// answers without touching the map. Every write happens under mu.
+// use. Each device has one slot in a map whose keys are fixed at
+// construction, so a call makes a single lookup. Two reads take no lock:
+// OperatingPoint, read by every runtime on every event, loads the slot's
+// atomic state index (and a governor that never throttles answers without
+// the lookup), and Draw loads the fleet draw that every change re-publishes
+// under mu. Every write happens under mu. IDs the ledger was not built with
+// are refused, draw nothing and never throttle a sibling.
 type Ledger struct {
 	mu   sync.Mutex
-	capW energy.Watts
+	capW energy.Watts // fixed at construction
 	gov  Kind
 
-	order   []string // device IDs in construction order: the governor's tie-break
-	ladders map[string]Ladder
-	point   map[string]*atomic.Int32 // governor-prescribed state index per device
-	idleW   map[string]energy.Watts
-	drawW   map[string]energy.Watts // granted dynamic draw per device
-	lost    map[string]bool
+	order []*ledgerDev          // slots in construction order: the governor's tie-break
+	devs  map[string]*ledgerDev // read-only after NewLedger
 
 	idleTotal energy.Watts
 	dynDraw   energy.Watts
+	draw      atomic.Uint64 // float64 bits of idleTotal+dynDraw
 	peakW     energy.Watts
 	stalls    uint64
 	rescales  uint64
-	gen       chan struct{} // closed and replaced on every release/reshape
+	gen       chan struct{} // handed out by Changed, closed by the next change; nil until taken
+}
+
+// ledgerDev is one device's slot in the ledger.
+type ledgerDev struct {
+	ladder Ladder       // fixed at construction
+	point  atomic.Int32 // governor-prescribed state index
+	idleW  energy.Watts // fixed at construction
+	drawW  energy.Watts // granted dynamic draw
+	drawn  bool         // ever granted a draw: a sibling-throttle candidate
+	lost   bool
 }
 
 // NewLedger builds a ledger over the reference devices with the given cap
@@ -186,27 +196,22 @@ type Ledger struct {
 // which is the accounting gap this subsystem closes.
 func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 	l := &Ledger{
-		capW:    capW,
-		gov:     gov,
-		order:   make([]string, 0, len(devices)),
-		ladders: make(map[string]Ladder, len(devices)),
-		point:   make(map[string]*atomic.Int32, len(devices)),
-		idleW:   make(map[string]energy.Watts, len(devices)),
-		drawW:   make(map[string]energy.Watts, len(devices)),
-		lost:    make(map[string]bool),
-		gen:     make(chan struct{}),
+		capW:  capW,
+		gov:   gov,
+		order: make([]*ledgerDev, 0, len(devices)),
+		devs:  make(map[string]*ledgerDev, len(devices)),
 	}
 	if capW <= 0 {
 		l.capW = math.Inf(1)
 	}
 	for _, d := range devices {
-		l.order = append(l.order, d.ID)
-		l.point[d.ID] = new(atomic.Int32)
-		l.ladders[d.ID] = LadderFor(d.ID, d.Spec)
-		l.idleW[d.ID] = d.Spec.IdleWatts
+		slot := &ledgerDev{ladder: LadderFor(d.ID, d.Spec), idleW: d.Spec.IdleWatts}
+		l.order = append(l.order, slot)
+		l.devs[d.ID] = slot
 		l.idleTotal += d.Spec.IdleWatts
 	}
 	l.peakW = l.idleTotal
+	l.publishLocked()
 	return l
 }
 
@@ -221,28 +226,23 @@ func FleetPeakWatts(devices []*hw.Device) energy.Watts {
 }
 
 // Cap returns the watt budget (+Inf when uncapped).
-func (l *Ledger) Cap() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.capW
-}
+func (l *Ledger) Cap() energy.Watts { return l.capW }
 
 // Capped reports whether a finite cap is armed.
-func (l *Ledger) Capped() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return !math.IsInf(l.capW, 1)
-}
+func (l *Ledger) Capped() bool { return !math.IsInf(l.capW, 1) }
 
 // Governor returns the governor kind.
 func (l *Ledger) Governor() Kind { return l.gov }
 
 // Draw returns the current modelled fleet draw: static power of healthy
-// devices plus every granted dynamic watt.
+// devices plus every granted dynamic watt. It takes no lock.
 func (l *Ledger) Draw() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idleTotal + l.dynDraw
+	return math.Float64frombits(l.draw.Load())
+}
+
+// publishLocked re-publishes the fleet draw Draw reads.
+func (l *Ledger) publishLocked() {
+	l.draw.Store(math.Float64bits(l.idleTotal + l.dynDraw))
 }
 
 // IdleWatts returns the static draw of the surviving fleet.
@@ -253,14 +253,18 @@ func (l *Ledger) IdleWatts() energy.Watts {
 }
 
 // DrawOf returns a device's current draw (static + granted dynamic); zero
-// for a lost device.
+// for a lost or unknown device.
 func (l *Ledger) DrawOf(deviceID string) energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lost[deviceID] {
+	d := l.devs[deviceID]
+	if d == nil {
 		return 0
 	}
-	return l.idleW[deviceID] + l.drawW[deviceID]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d.lost {
+		return 0
+	}
+	return d.idleW + d.drawW
 }
 
 // PeakDraw returns the high-water mark of the fleet draw — the peak-draw
@@ -293,46 +297,50 @@ func (l *Ledger) OperatingPoint(deviceID string) int {
 	if l.gov != PackAndThrottle {
 		return 0
 	}
-	if p, ok := l.point[deviceID]; ok {
-		return int(p.Load())
+	if d := l.devs[deviceID]; d != nil {
+		return int(d.point.Load())
 	}
 	return 0
 }
 
 // Ladder returns a device's resolved DVFS ladder.
 func (l *Ledger) Ladder(deviceID string) Ladder {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ladders[deviceID]
+	if d := l.devs[deviceID]; d != nil {
+		return d.ladder
+	}
+	return Ladder{}
 }
 
 // TryDraw claims watts of dynamic draw for a task on a device; it fails
 // (without blocking) when the grant would push the fleet draw over the
-// cap or the device is lost. On a refusal the PackAndThrottle governor
-// steps the device down its DVFS ladder (or, at the ladder floor, the
-// hungriest throttleable sibling), so the parked job re-scores the
-// placement at a cheaper operating point when it wakes.
+// cap, or the device is lost or unknown. On a cap refusal the
+// PackAndThrottle governor steps the device down its DVFS ladder (or, at
+// the ladder floor, the hungriest throttleable sibling), so the parked job
+// re-scores the placement at a cheaper operating point when it wakes.
 func (l *Ledger) TryDraw(deviceID string, w energy.Watts) bool {
+	d := l.devs[deviceID]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.lost[deviceID] {
+	if d == nil || d.lost {
 		l.stalls++
 		return false
 	}
 	if l.idleTotal+l.dynDraw+w > l.capW {
 		l.stalls++
 		if l.gov == PackAndThrottle {
-			l.throttleLocked(deviceID)
+			l.throttleLocked(d)
 		}
 		// Wake parked jobs even without a reshape: a sibling release may
 		// have raced with this refusal.
 		l.wakeLocked()
 		return false
 	}
-	l.drawW[deviceID] += w
+	d.drawW += w
+	d.drawn = true
 	l.dynDraw += w
-	if d := l.idleTotal + l.dynDraw; d > l.peakW {
-		l.peakW = d
+	l.publishLocked()
+	if draw := l.idleTotal + l.dynDraw; draw > l.peakW {
+		l.peakW = draw
 	}
 	return true
 }
@@ -340,17 +348,23 @@ func (l *Ledger) TryDraw(deviceID string, w energy.Watts) bool {
 // ReleaseDraw returns granted watts and wakes every parked job. Releasing
 // on a lost device is a no-op: DeviceLost already zeroed its draw, and
 // late revocations from jobs crossing the crash on their private clocks
-// must not double-release. Under PackAndThrottle a relaxed draw steps the
-// most-throttled device back toward nominal.
+// must not double-release. Releasing on an unknown device is a no-op too.
+// Under PackAndThrottle a relaxed draw steps the most-throttled device
+// back toward nominal.
 func (l *Ledger) ReleaseDraw(deviceID string, w energy.Watts) {
+	d := l.devs[deviceID]
+	if d == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.lost[deviceID] {
-		if w > l.drawW[deviceID] {
-			w = l.drawW[deviceID]
+	if !d.lost {
+		if w > d.drawW {
+			w = d.drawW
 		}
-		l.drawW[deviceID] -= w
+		d.drawW -= w
 		l.dynDraw -= w
+		l.publishLocked()
 	}
 	if l.gov == PackAndThrottle {
 		l.unthrottleLocked()
@@ -359,10 +373,15 @@ func (l *Ledger) ReleaseDraw(deviceID string, w energy.Watts) {
 }
 
 // Changed returns a channel closed on the next release, reshape or fleet
-// event after this call — the park/wake protocol of admission stalls.
+// event after this call — the park/wake protocol of admission stalls. The
+// channel is made on demand and replaced only after it was closed, so
+// changes nobody waits for allocate nothing.
 func (l *Ledger) Changed() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.gen == nil {
+		l.gen = make(chan struct{})
+	}
 	return l.gen
 }
 
@@ -373,18 +392,20 @@ func (l *Ledger) Changed() <-chan struct{} {
 // woken — a loss frees watt headroom. Under PackAndThrottle the freed
 // headroom may step throttled survivors back up.
 func (l *Ledger) DeviceLost(deviceID string) {
+	d := l.devs[deviceID]
+	if d == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.lost[deviceID] {
+	if d.lost {
 		return
 	}
-	if _, ok := l.idleW[deviceID]; !ok {
-		return
-	}
-	l.lost[deviceID] = true
-	l.idleTotal -= l.idleW[deviceID]
-	l.dynDraw -= l.drawW[deviceID]
-	l.drawW[deviceID] = 0
+	d.lost = true
+	l.idleTotal -= d.idleW
+	l.dynDraw -= d.drawW
+	d.drawW = 0
+	l.publishLocked()
 	if l.gov == PackAndThrottle {
 		l.unthrottleLocked()
 	}
@@ -393,50 +414,52 @@ func (l *Ledger) DeviceLost(deviceID string) {
 
 // Lost reports whether the device was removed from the power ledger.
 func (l *Ledger) Lost(deviceID string) bool {
+	d := l.devs[deviceID]
+	if d == nil {
+		return false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lost[deviceID]
+	return d.lost
 }
 
-// wakeLocked closes and replaces the generation channel.
+// wakeLocked closes the channel handed out by Changed, if any.
 func (l *Ledger) wakeLocked() {
-	close(l.gen)
-	l.gen = make(chan struct{})
+	if l.gen != nil {
+		close(l.gen)
+		l.gen = nil
+	}
 }
 
 // throttleLocked steps a device one rung down its DVFS ladder; if the
 // device is already at the floor, the healthy device with the largest
 // dynamic draw that still has a lower rung is stepped instead (among
 // devices ever drawn on; ties go to the earliest in construction order).
-func (l *Ledger) throttleLocked(deviceID string) {
-	if l.stepDownLocked(deviceID) {
+func (l *Ledger) throttleLocked(self *ledgerDev) {
+	if l.stepDownLocked(self) {
 		return
 	}
-	best, bestDraw := "", energy.Watts(-1)
-	for _, id := range l.order {
-		w, drawn := l.drawW[id]
-		if !drawn || id == deviceID || l.lost[id] {
+	var best *ledgerDev
+	bestDraw := energy.Watts(-1)
+	for _, d := range l.order {
+		if !d.drawn || d == self || d.lost {
 			continue
 		}
-		if int(l.point[id].Load()) < len(l.ladders[id].Points)-1 && w > bestDraw {
-			best, bestDraw = id, w
+		if int(d.point.Load()) < len(d.ladder.Points)-1 && d.drawW > bestDraw {
+			best, bestDraw = d, d.drawW
 		}
 	}
-	if best != "" {
+	if best != nil {
 		l.stepDownLocked(best)
 	}
 }
 
 // stepDownLocked lowers one device's operating point if a rung exists.
-func (l *Ledger) stepDownLocked(deviceID string) bool {
-	if l.lost[deviceID] {
+func (l *Ledger) stepDownLocked(d *ledgerDev) bool {
+	if d.lost || int(d.point.Load()) >= len(d.ladder.Points)-1 {
 		return false
 	}
-	ladder, ok := l.ladders[deviceID]
-	if !ok || int(l.point[deviceID].Load()) >= len(ladder.Points)-1 {
-		return false
-	}
-	l.point[deviceID].Add(1)
+	d.point.Add(1)
 	l.rescales++
 	return true
 }
@@ -449,14 +472,15 @@ func (l *Ledger) unthrottleLocked() {
 	if l.idleTotal+l.dynDraw > 0.7*l.capW {
 		return
 	}
-	best, depth := "", int32(0)
-	for _, id := range l.order {
-		if p := l.point[id].Load(); !l.lost[id] && p > depth {
-			best, depth = id, p
+	var best *ledgerDev
+	depth := int32(0)
+	for _, d := range l.order {
+		if p := d.point.Load(); !d.lost && p > depth {
+			best, depth = d, p
 		}
 	}
-	if best != "" {
-		l.point[best].Add(-1)
+	if best != nil {
+		best.point.Add(-1)
 		l.rescales++
 	}
 }

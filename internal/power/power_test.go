@@ -291,3 +291,100 @@ func TestOperatingPointConcurrentWithGovernor(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A device the ledger was never built with draws nothing: the grant is
+// refused and counted as a stall, no sibling is throttled for it, and a
+// release on it is a no-op.
+func TestLedgerUnknownDevice(t *testing.T) {
+	devs := testDevices(t)
+	l := NewLedger(40, devs, PackAndThrottle)
+	if !l.TryDraw("cpu0", 20) {
+		t.Fatal("draw refused")
+	}
+	if l.TryDraw("ghost", 1) {
+		t.Fatal("draw on an unknown device granted")
+	}
+	// Over the cap: a refusal for a known device would throttle cpu0.
+	if l.TryDraw("ghost", 10) {
+		t.Fatal("over-cap draw on an unknown device granted")
+	}
+	if got := l.Stalls(); got != 2 {
+		t.Fatalf("stalls = %d, want 2", got)
+	}
+	if got := l.OperatingPoint("cpu0"); got != 0 || l.Rescales() != 0 {
+		t.Fatalf("cpu0 throttled to %d (%d rescales) for an unknown device", got, l.Rescales())
+	}
+	ch := l.Changed()
+	l.ReleaseDraw("ghost", 20)
+	select {
+	case <-ch:
+		t.Fatal("release on an unknown device signalled Changed")
+	default:
+	}
+	if got, peak := l.Draw(), l.PeakDraw(); got != 35 || peak != 35 {
+		t.Fatalf("draw %v peak %v, want 35 both", got, peak)
+	}
+	if got := l.DrawOf("ghost"); got != 0 {
+		t.Fatalf("unknown device draws %v", got)
+	}
+	if got := l.DrawOf("cpu0"); got != 30 {
+		t.Fatalf("cpu0 draws %v, want 30", got)
+	}
+}
+
+// A release that nobody parks on allocates nothing, and a channel taken
+// from Changed after many such releases is still closed by the next one.
+func TestLedgerChangedAllocatesOnlyForWaiters(t *testing.T) {
+	devs := testDevices(t)
+	for _, gov := range []Kind{RaceToIdle, PackAndThrottle} {
+		l := NewLedger(40, devs, gov)
+		if n := testing.AllocsPerRun(200, func() {
+			if !l.TryDraw("cpu0", 5) {
+				t.Fatal("draw refused")
+			}
+			l.ReleaseDraw("cpu0", 5)
+		}); n != 0 {
+			t.Fatalf("%v: TryDraw+ReleaseDraw allocated %v times per run", gov, n)
+		}
+		ch := l.Changed()
+		select {
+		case <-ch:
+			t.Fatalf("%v: Changed closed before any release", gov)
+		default:
+		}
+		l.TryDraw("cpu0", 5)
+		l.ReleaseDraw("cpu0", 5)
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("%v: release did not close the taken channel", gov)
+		}
+		if next := l.Changed(); next == ch {
+			t.Fatalf("%v: Changed handed out the closed channel again", gov)
+		}
+	}
+}
+
+// Draw reads the published fleet draw without the lock; it must track every
+// grant, release and loss exactly.
+func TestLedgerDrawTracksChanges(t *testing.T) {
+	devs := testDevices(t)
+	l := NewLedger(0, devs, RaceToIdle)
+	steps := []struct {
+		do   func()
+		want energy.Watts
+	}{
+		{func() {}, 15},
+		{func() { l.TryDraw("cpu0", 12.5) }, 27.5},
+		{func() { l.TryDraw("fpga0", 4) }, 31.5},
+		{func() { l.ReleaseDraw("cpu0", 2.5) }, 29},
+		{func() { l.DeviceLost("fpga0") }, 20},
+		{func() { l.ReleaseDraw("cpu0", 100) }, 10},
+	}
+	for i, s := range steps {
+		s.do()
+		if got := l.Draw(); got != s.want {
+			t.Fatalf("step %d: draw %v, want %v", i, got, s.want)
+		}
+	}
+}

@@ -98,8 +98,9 @@ const (
 //
 // Implementations must be safe for concurrent use. Changed returns a
 // channel that is closed on the next Release after the call; a runtime
-// grabs it before dispatching so a release racing with a failed
-// TryAcquire can never be missed. Capacity reports a device's current
+// takes it only when it is about to park, and retries the placement once
+// after taking it, so a release racing with a failed TryAcquire can never
+// be missed. Capacity reports a device's current
 // total capacity — zero for a lost device — letting runtimes distinguish
 // transient contention (park and wait) from permanent loss (re-place or
 // fail with ErrDeviceLost).
@@ -725,6 +726,8 @@ func classMatch(t *Task, c hw.Class) bool {
 
 // score returns the policy objective for running t on dev now (lower is
 // better); ok=false if the device cannot take the task at this instant.
+// The execution time is computed once: the dynamic energy is the draw
+// times that span, the very product dev.EnergyFor evaluates.
 func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 	if !compatible(t, dev) {
 		return 0, false
@@ -734,13 +737,13 @@ func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 		return 0, false
 	}
 	execSec := sim.ToSeconds(dev.ExecTime(t.Gops, t.Cores))
+	energyJ := dev.DynamicWatts(t.Cores) * execSec * power.UndervoltPowerScale(t.Undervolt)
 	// Fold in witnessed slowdowns: a device exposed as degraded by the
 	// straggler watchdog is scored at its observed stretch, so placement
 	// routes around it without ever reading the (hidden) fault state.
 	if f, ok := r.suspect[dev.ID]; ok {
 		execSec *= f
 	}
-	energyJ := dev.EnergyFor(t.Gops, t.Cores) * power.UndervoltPowerScale(t.Undervolt)
 	switch r.policy {
 	case MinEnergy:
 		return energyJ, true
@@ -755,11 +758,13 @@ func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 // DVFS prescription, so scoring, execution time and draw all see the
 // throttled (or restored) operating points. Tasks already executing keep
 // the span and energy they were scheduled with; only new placements are
-// reshaped — the DVFS transition model.
-func (r *Runtime) applyOperatingPoints() {
+// reshaped — the DVFS transition model. It reports whether any device
+// changed state.
+func (r *Runtime) applyOperatingPoints() bool {
 	if r.pow == nil {
-		return
+		return false
 	}
+	moved := false
 	for _, dev := range r.devices {
 		if p := r.pow.OperatingPoint(dev.ID); p != dev.StateIndex() {
 			from := dev.StateIndex()
@@ -768,6 +773,7 @@ func (r *Runtime) applyOperatingPoints() {
 				// construction bug; stay at the current point.
 				continue
 			}
+			moved = true
 			for _, h := range r.hooks {
 				if h.Rescaled != nil {
 					h.Rescaled(dev.ID, from, p, r.eng.Now())
@@ -775,6 +781,7 @@ func (r *Runtime) applyOperatingPoints() {
 			}
 		}
 	}
+	return moved
 }
 
 // taskDrawW is the dynamic draw a task would hold on dev at its current
@@ -783,9 +790,17 @@ func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
 	return dev.DynamicWatts(t.Cores) * power.UndervoltPowerScale(t.Undervolt)
 }
 
-// dispatch assigns as many ready tasks as possible.
+// dispatch syncs the operating points and assigns as many ready tasks as
+// possible.
 func (r *Runtime) dispatch() {
 	r.applyOperatingPoints()
+	r.place()
+}
+
+// place assigns as many ready tasks as possible at the mirror's current
+// operating points. A task that wins a device but loses the core or watt
+// admission stays queued and sets r.blocked.
+func (r *Runtime) place() {
 	for {
 		assigned := false
 		for qi := 0; qi < len(r.ready); qi++ {
@@ -876,8 +891,9 @@ func (r *Runtime) launch(n *node, slot int, watts energy.Watts, hedge bool) *exe
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
 		dev: dev, slot: slot, cores: t.Cores, watts: watts,
-		draw:     taskDrawW(t, dev),
-		energy:   energy.Joules(float64(dev.EnergyFor(t.Gops, t.Cores)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
+		draw: taskDrawW(t, dev),
+		// dev.EnergyFor's product, on the span already computed.
+		energy:   dev.DynamicWatts(t.Cores) * sim.ToSeconds(expected) * power.UndervoltPowerScale(t.Undervolt) * factor,
 		start:    now,
 		expected: expected,
 		finish:   now + actual,
@@ -1445,8 +1461,8 @@ func (r *Runtime) Run() (*Result, error) { return r.RunContext(context.Backgroun
 // runtime shares devices through an Admission ledger and every ready task
 // is stalled on foreign occupancy, the goroutine parks until capacity is
 // released elsewhere (or ctx fires) — the job's virtual clock does not
-// advance while parked. A runtime that returned an error must not be run
-// again.
+// advance while parked (see park). A runtime that returned an error must
+// not be run again.
 //
 // Failure semantics: a task that exhausts its retry budget aborts the run
 // with ErrRetriesExhausted; a task left unplaceable by device loss aborts
@@ -1457,26 +1473,26 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		r.releaseHeld()
 		return nil, err
 	}
-	for {
+	for first := true; ; first = false {
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
 		if r.failErr != nil {
 			return abort(r.failErr)
 		}
-		// Grab the change channels before dispatching: a release that races
-		// with a failed TryAcquire/TryDraw below closes these very channels,
-		// so the park cannot miss the wakeup. A nil channel blocks forever
-		// in the select, which is exactly right for an absent ledger.
-		var changed, powChanged <-chan struct{}
-		if r.adm != nil {
-			changed = r.adm.Changed()
+		// Dispatch on change only. Every handler that frees capacity or
+		// readies a task (completion, retry and restore timers, FailDevice,
+		// deadline shedding) ends in its own dispatch, and the events that
+		// do not (watchdog, checkpoint commit, degrade) can only take
+		// capacity away or reorder scores. So after a dispatch that placed
+		// all it could without a stall, another round would place nothing.
+		// What it cannot see is a sibling job: a stalled dispatch (also the
+		// one before a park) retries on every event, and operating points
+		// the governor moved are synced before every event.
+		if r.applyOperatingPoints() || first || r.blocked {
+			r.blocked = false
+			r.place()
 		}
-		if r.pow != nil {
-			powChanged = r.pow.Changed()
-		}
-		r.blocked = false
-		r.dispatch()
 		if r.eng.Step() {
 			continue
 		}
@@ -1487,11 +1503,8 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 			break
 		}
 		if r.blocked && (r.adm != nil || r.pow != nil) {
-			select {
-			case <-changed:
-			case <-powChanged:
-			case <-ctx.Done():
-				return abort(ctx.Err())
+			if err := r.park(ctx); err != nil {
+				return abort(err)
 			}
 			continue
 		}
@@ -1524,6 +1537,37 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		res.EnergyJ += n.record.EnergyJ
 	}
 	return res, nil
+}
+
+// park waits out a stall on shared capacity once the event queue has
+// drained. It takes the ledgers' change channels first and then retries
+// the placement once: a release that lands before the channels were taken
+// is visible to that retry, and one that lands after closes them. So no
+// wake-up is lost, and a release that nobody parks on costs the ledgers
+// no channel. The job parks only if the retry is still blocked with no
+// event scheduled, and returns with r.blocked set, so the loop dispatches
+// again. A nil channel blocks forever in the select, which is exactly
+// right for an absent ledger.
+func (r *Runtime) park(ctx context.Context) error {
+	var changed, powChanged <-chan struct{}
+	if r.adm != nil {
+		changed = r.adm.Changed()
+	}
+	if r.pow != nil {
+		powChanged = r.pow.Changed()
+	}
+	r.blocked = false
+	r.dispatch()
+	if !r.blocked || r.eng.Pending() > 0 {
+		return nil
+	}
+	select {
+	case <-changed:
+	case <-powChanged:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return nil
 }
 
 // stuckErr explains why a leftover task can never run: ErrDeviceLost when a

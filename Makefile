@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-wake bench bench-short run-bench clean
+.PHONY: ci fmt vet lint build test race race-wake bench bench-short run-bench clean
 
-ci: vet lint build race race-wake bench-short
+ci: fmt vet lint build race race-wake bench-short
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -44,6 +44,20 @@ func (s *Store[T]) Append(v T) {
 	s.n++
 }
 
+// Reserve sizes the store for n more values: when the last segment has
+// room for fewer, the next segment it opens takes the rest in one piece,
+// up to MaxSegment values. Reserve itself allocates nothing, and a store
+// that never reserves grows as before.
+func (s *Store[T]) Reserve(n int) {
+	room := 0
+	if k := len(s.segs) - 1; k >= 0 {
+		room = cap(s.segs[k]) - len(s.segs[k])
+	}
+	if want := min(n-room, MaxSegment); want > max(s.next, MinSegment) {
+		s.next = want
+	}
+}
+
 // Len reports how many values are stored.
 func (s *Store[T]) Len() int { return s.n }
 

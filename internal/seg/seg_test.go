@@ -34,3 +34,35 @@ func TestAdoptNeverSharesSpareCapacity(t *testing.T) {
 		t.Fatal("the zero Store is not empty")
 	}
 }
+
+// TestReserveSizesNextSegment: a reserve opens one segment for what the
+// last segment cannot hold, capped at MaxSegment, and leaves a store that
+// already has the room, or never reserves, growing as before.
+func TestReserveSizesNextSegment(t *testing.T) {
+	var s Store[int]
+	for i := 0; i < 9; i++ { // segments of 8 and 16: 15 values of room
+		s.Append(i)
+	}
+	s.Reserve(5) // fits the room: no change
+	s.Reserve(100)
+	for i := 0; i < 100; i++ {
+		s.Append(i)
+	}
+	if n := len(s.segs); n != 3 || cap(s.segs[2]) != 85 {
+		t.Fatalf("%d segments, last of capacity %d; want 3, 85", n, cap(s.segs[n-1]))
+	}
+	s.Append(0)
+	if got := cap(s.segs[3]); got != 2*85 {
+		t.Fatalf("segment after the reserved one has capacity %d, want %d", got, 2*85)
+	}
+	s.Reserve(10 * MaxSegment)
+	for i := 0; i < MaxSegment; i++ {
+		s.Append(i)
+	}
+	if got := cap(s.segs[len(s.segs)-1]); got != MaxSegment {
+		t.Fatalf("reserved segment has capacity %d, want the %d cap", got, MaxSegment)
+	}
+	if s.Len() != 9+100+1+MaxSegment {
+		t.Fatalf("Len = %d", s.Len())
+	}
+}

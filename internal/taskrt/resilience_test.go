@@ -260,3 +260,34 @@ func TestResilienceHooks(t *testing.T) {
 		t.Fatal("checkpoint hook never fired")
 	}
 }
+
+// TestRetryBackoffCeiling: a Critical task whose vote keeps failing under
+// a 64-attempt budget retries with a backoff that doubles per failure up
+// to base << maxBackoffDoublings and stays there, so the run ends in
+// ErrRetriesExhausted instead of overflowing virtual time. The first
+// eight backoffs are the unclamped base << (attempt-1).
+func TestRetryBackoffCeiling(t *testing.T) {
+	eng := sim.NewEngine()
+	rt := New(eng, twoCPUs(eng)[:1], MinTime)
+	rt.SetCorruptor(func(Record) bool { return true })
+	var retried, placed []sim.Time
+	rt.AddHooks(Hooks{
+		Retried: func(_ string, _ int, _ string, at sim.Time) { retried = append(retried, at) },
+		Placed:  func(_, _ string, _ int, at sim.Time) { placed = append(placed, at) },
+	})
+	if err := rt.Submit(Task{Name: "vote", Gops: 1, Critical: true, Retry: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
+	}
+	if len(retried) != 64 || len(placed) != 65 {
+		t.Fatalf("%d retries and %d placements, want 64 and 65", len(retried), len(placed))
+	}
+	for k, at := range retried {
+		want := time.Millisecond << min(k, maxBackoffDoublings)
+		if got := placed[k+1] - at; got != want {
+			t.Fatalf("backoff before attempt %d = %v, want %v", k+2, got, want)
+		}
+	}
+}

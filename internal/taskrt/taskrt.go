@@ -190,8 +190,44 @@ type Data struct {
 	Size int64
 
 	lastWriter *node
-	readers    []*node
+	readers    nodeList
 	version    int
+}
+
+// nodeList is an append-only list of nodes whose first element is stored
+// inline, so a chain (one successor per task, one reader per region)
+// allocates nothing per edge.
+type nodeList struct {
+	first *node
+	rest  []*node
+}
+
+func (l *nodeList) add(n *node) {
+	if l.first == nil {
+		l.first = n
+		return
+	}
+	l.rest = append(l.rest, n)
+}
+
+func (l *nodeList) len() int {
+	if l.first == nil {
+		return 0
+	}
+	return 1 + len(l.rest)
+}
+
+// at returns the i-th node in insertion order.
+func (l *nodeList) at(i int) *node {
+	if i == 0 {
+		return l.first
+	}
+	return l.rest[i-1]
+}
+
+func (l *nodeList) reset() {
+	l.first = nil
+	l.rest = l.rest[:0]
 }
 
 // Dep is a dependence declaration.
@@ -246,6 +282,7 @@ type Task struct {
 // exec is one in-flight execution of a task: the primary placement, or a
 // speculative hedge replica racing it on a different device.
 type exec struct {
+	node     *node // the task this executes
 	dev      *hw.Device
 	slot     int // dev's position in Runtime.devices
 	cores    int
@@ -265,9 +302,8 @@ type exec struct {
 type node struct {
 	task    Task
 	id      int
-	deps    int     // unsatisfied predecessor count
-	succ    []*node // successors
-	pred    []*node // predecessors (for re-execution after invalidation)
+	deps    int      // unsatisfied predecessor count
+	succ    nodeList // successors
 	done    bool
 	started bool
 
@@ -399,6 +435,42 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	}
 }
 
+// The runtime's own events are typed sim events: each is a kind and one
+// pointer argument, dispatched by a switch in Fire, so scheduling one
+// allocates no closure.
+const (
+	evComplete   = iota // arg *exec: the execution's span elapsed
+	evWatchdog          // arg *exec: the straggler watchdog expired
+	evRequeue           // arg *node: a retry backoff or restore delay elapsed
+	evDeadline          // arg *node: the task's deadline passed
+	evCheckpoint        // arg *ckptCommit: an async checkpoint committed
+)
+
+// events is the runtime as the sim.Target of its typed events; the
+// conversion keeps Fire out of Runtime's exported methods.
+type events Runtime
+
+func (t *events) Fire(kind int, arg any) {
+	r := (*Runtime)(t)
+	switch kind {
+	case evComplete:
+		r.complete(arg.(*exec))
+	case evWatchdog:
+		r.straggler(arg.(*exec))
+	case evRequeue:
+		r.requeue(arg.(*node))
+	case evDeadline:
+		r.deadlineFire(arg.(*node))
+	case evCheckpoint:
+		r.commitCheckpoint(arg.(*ckptCommit))
+	}
+}
+
+// after schedules one of the runtime's typed events.
+func (r *Runtime) after(delay sim.Time, kind int, arg any) sim.Handle {
+	return r.eng.ScheduleEvent(delay, (*events)(r), kind, arg)
+}
+
 // SetAdmission installs a shared capacity ledger. Must be called before the
 // first Submit. With no admission the runtime assumes exclusive ownership
 // of its devices, which is the historical single-tenant behaviour.
@@ -487,8 +559,7 @@ func (r *Runtime) DegradeDevice(id string, factor float64) {
 			ex.done.Cancel()
 			stretched := sim.Time(float64(remaining) * ratio)
 			ex.finish = now + stretched
-			n, ex := n, ex
-			ex.done = r.eng.Schedule(stretched, func() { r.complete(n, ex) })
+			ex.done = r.after(stretched, evComplete, ex)
 		}
 	}
 }
@@ -568,47 +639,41 @@ func (r *Runtime) Submit(t Task) error {
 		if from == nil || from.done {
 			return
 		}
-		from.succ = append(from.succ, n)
-		n.pred = append(n.pred, from)
+		from.succ.add(n)
 		n.deps++
+	}
+	// write makes n the region's writer after the previous writer and
+	// readers: output and anti dependences (no renaming in this runtime).
+	write := func(d *Data) {
+		addEdge(d.lastWriter)
+		for i := 0; i < d.readers.len(); i++ {
+			if rd := d.readers.at(i); rd != n {
+				addEdge(rd)
+			}
+		}
+		d.lastWriter = n
+		d.readers.reset()
+		d.version++
 	}
 	for _, d := range t.In {
 		addEdge(d.lastWriter)
-		d.readers = append(d.readers, n)
+		d.readers.add(n)
 	}
 	for _, d := range t.InOut {
-		addEdge(d.lastWriter)
-		for _, rd := range d.readers {
-			if rd != n {
-				addEdge(rd)
-			}
-		}
-		d.lastWriter = n
-		d.readers = d.readers[:0]
-		d.version++
+		write(d)
 	}
 	for _, d := range t.Out {
-		// Output and anti dependences: wait for previous writer and readers
-		// (no renaming in this runtime).
-		addEdge(d.lastWriter)
-		for _, rd := range d.readers {
-			if rd != n {
-				addEdge(rd)
-			}
-		}
-		d.lastWriter = n
-		d.readers = d.readers[:0]
-		d.version++
+		write(d)
 	}
 
 	r.nodes = append(r.nodes, n)
 	r.inDAG++
 	if t.Deadline > 0 {
-		at := t.Deadline
-		if now := r.eng.Now(); at < now {
-			at = now
+		var delay sim.Time
+		if now := r.eng.Now(); t.Deadline > now {
+			delay = t.Deadline - now
 		}
-		n.deadline = r.eng.ScheduleAt(at, func() { r.deadlineFire(n) })
+		n.deadline = r.after(delay, evDeadline, n)
 	}
 	for _, h := range r.hooks {
 		if h.Queued != nil {
@@ -890,7 +955,7 @@ func (r *Runtime) launch(n *node, slot int, watts energy.Watts, hedge bool) *exe
 	expected := dev.ExecTime(t.Gops, t.Cores)
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
-		dev: dev, slot: slot, cores: t.Cores, watts: watts,
+		node: n, dev: dev, slot: slot, cores: t.Cores, watts: watts,
 		draw: taskDrawW(t, dev),
 		// dev.EnergyFor's product, on the span already computed.
 		energy:   dev.DynamicWatts(t.Cores) * sim.ToSeconds(expected) * power.UndervoltPowerScale(t.Undervolt) * factor,
@@ -899,10 +964,10 @@ func (r *Runtime) launch(n *node, slot int, watts energy.Watts, hedge bool) *exe
 		finish:   now + actual,
 		hedge:    hedge,
 	}
-	ex.done = r.eng.Schedule(actual, func() { r.complete(n, ex) })
+	ex.done = r.after(actual, evComplete, ex)
 	if !hedge && r.hedgePol.Enabled() && expected > 0 {
 		delay := sim.Time(float64(expected) * r.hedgePol.Multiplier)
-		ex.watchdog = r.eng.Schedule(delay, func() { r.straggler(n, ex) })
+		ex.watchdog = r.after(delay, evWatchdog, ex)
 	}
 	return ex
 }
@@ -968,7 +1033,8 @@ func (r *Runtime) wastedJoules(ex *exec) energy.Joules {
 // its expected span without completing. The observation is folded into
 // placement scoring and, budget and admission permitting, a speculative
 // replica launches on a different device.
-func (r *Runtime) straggler(n *node, ex *exec) {
+func (r *Runtime) straggler(ex *exec) {
+	n := ex.node
 	if n.done || n.primary != ex {
 		return // completed, revoked or replaced since the watchdog was armed
 	}
@@ -1020,7 +1086,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		// after another expected span; the primary completing first turns
 		// the re-armed watchdog into a no-op.
 		r.hedgesDenied++
-		ex.watchdog = r.eng.Schedule(ex.expected, func() { r.straggler(n, ex) })
+		ex.watchdog = r.after(ex.expected, evWatchdog, ex)
 	}
 	if best == -1 {
 		rearm()
@@ -1074,11 +1140,12 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 }
 
-// complete finishes one execution of n: the winner's device and admission
+// complete finishes execution ex of its node n: the winner's device and admission
 // grants are returned, a racing loser is cancelled deterministically (its
 // burned energy accounted as hedge waste), the SDC oracle is consulted on
 // the committed record, and the node either finishes or re-queues.
-func (r *Runtime) complete(n *node, ex *exec) {
+func (r *Runtime) complete(ex *exec) {
+	n := ex.node
 	t := &n.task
 	now := r.eng.Now()
 	r.releaseExec(ex)
@@ -1159,7 +1226,8 @@ func (r *Runtime) finishNode(n *node) {
 			h.Finished(&n.record)
 		}
 	}
-	for _, s := range n.succ {
+	for i := 0; i < n.succ.len(); i++ {
+		s := n.succ.at(i)
 		s.deps--
 		if s.deps == 0 && !s.done {
 			r.enqueue(s)
@@ -1207,24 +1275,33 @@ func (r *Runtime) maybeCheckpoint(n *node) {
 	if r.ckptCost != nil {
 		cost = r.ckptCost(bytes)
 	}
-	start := r.eng.Now()
-	r.eng.Schedule(cost, func() {
-		committed := 0
-		for _, m := range snap {
-			// A crash inside the checkpoint window invalidates members of
-			// the snapshot; only still-done nodes commit.
-			if m.done {
-				m.persisted = true
-				committed++
-			}
+	r.after(cost, evCheckpoint, &ckptCommit{snap: snap, bytes: bytes, start: r.eng.Now()})
+}
+
+// ckptCommit is an asynchronous checkpoint in its commit window.
+type ckptCommit struct {
+	snap  []*node
+	bytes int64
+	start sim.Time
+}
+
+// commitCheckpoint persists the snapshot once its commit window closed.
+func (r *Runtime) commitCheckpoint(c *ckptCommit) {
+	committed := 0
+	for _, m := range c.snap {
+		// A crash inside the checkpoint window invalidates members of
+		// the snapshot; only still-done nodes commit.
+		if m.done {
+			m.persisted = true
+			committed++
 		}
-		r.ckpts++
-		for _, h := range r.hooks {
-			if h.Checkpointed != nil {
-				h.Checkpointed(committed, bytes, start, r.eng.Now())
-			}
+	}
+	r.ckpts++
+	for _, h := range r.hooks {
+		if h.Checkpointed != nil {
+			h.Checkpointed(committed, c.bytes, c.start, r.eng.Now())
 		}
-	})
+	}
 }
 
 // budget returns n's failure attempt budget.
@@ -1257,16 +1334,29 @@ func (r *Runtime) retry(n *node, reason string) {
 			h.Retried(n.task.Name, n.attempts, reason, r.eng.Now())
 		}
 	}
-	backoff := r.retryBackoff << uint(n.attempts-1)
-	r.eng.Schedule(backoff, func() {
-		// deps may have grown since the revocation if a predecessor's
-		// output was invalidated by the same device loss — then the
-		// completion path re-enqueues this node, not the backoff timer.
-		if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
-			r.enqueue(n)
-			r.dispatch()
-		}
-	})
+	r.after(r.backoff(n.attempts), evRequeue, n)
+}
+
+// maxBackoffDoublings caps the retry backoff's growth: from the 17th
+// failure on, the backoff stays at base << 16 (65.536 s at the default
+// 1 ms base), so a large Task.Retry budget cannot overflow virtual time.
+const maxBackoffDoublings = 16
+
+// backoff is the delay before the given failed attempt re-queues: the
+// base doubled per consecutive failure, up to maxBackoffDoublings times.
+func (r *Runtime) backoff(attempts int) sim.Time {
+	return r.retryBackoff << min(attempts-1, maxBackoffDoublings)
+}
+
+// requeue is the retry and restore timer: n re-enters the ready queue
+// unless it is already back. deps may have grown since the revocation if a
+// predecessor's output was invalidated by the same device loss — then the
+// completion path re-enqueues n, not the timer.
+func (r *Runtime) requeue(n *node) {
+	if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
+		r.enqueue(n)
+		r.dispatch()
+	}
 }
 
 // FailDevice fails the named device mid-run: in-flight tasks on it are
@@ -1344,9 +1434,9 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			if !n.done || n.persisted || n.record.Shed || n.record.Device != id || invalSet[n] {
 				continue
 			}
-			needed := len(n.succ) == 0
-			for _, s := range n.succ {
-				if !s.done || invalSet[s] {
+			needed := n.succ.len() == 0
+			for i := 0; i < n.succ.len(); i++ {
+				if s := n.succ.at(i); !s.done || invalSet[s] {
 					needed = true
 					break
 				}
@@ -1377,8 +1467,8 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		for _, d := range n.task.InOut {
 			restoreBytes += d.Size
 		}
-		for _, s := range n.succ {
-			if !s.done && !s.started {
+		for i := 0; i < n.succ.len(); i++ {
+			if s := n.succ.at(i); !s.done && !s.started {
 				s.deps++
 				r.unready(s)
 			}
@@ -1391,18 +1481,12 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 	restored = len(inval)
 	r.restores += restored
 	for _, n := range inval {
-		n := n
 		for _, h := range r.hooks {
 			if h.Retried != nil {
 				h.Retried(n.task.Name, n.attempts, "restore", r.eng.Now())
 			}
 		}
-		r.eng.Schedule(delay, func() {
-			if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
-				r.enqueue(n)
-				r.dispatch()
-			}
-		})
+		r.after(delay, evRequeue, n)
 	}
 	for _, h := range r.hooks {
 		if h.DeviceLost != nil {

@@ -75,6 +75,13 @@ func (t *Tracer) End(id int) {
 	t.spans.Append(*s)
 }
 
+// Reserve sizes the span store for n more spans (see seg.Store.Reserve).
+func (t *Tracer) Reserve(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.spans.Reserve(n)
+}
+
 // Count adds delta to a named counter.
 func (t *Tracer) Count(name string, delta float64) {
 	t.mu.Lock()

@@ -1152,6 +1152,9 @@ func (j *Job) Start(ctx context.Context) error {
 		return fmt.Errorf("legato: job %q already started: %w", j.name, ErrGraphFrozen)
 	}
 	j.started = true
+	// A clean run records three spans per runtime task (a replicated task
+	// is three): the task span and the draw samples at its start and end.
+	j.tracer.Reserve(3 * (j.submitted + 2*j.replicas))
 	j.mu.Unlock()
 	return j.sys.eng.Submit(ctx, j.ej)
 }

@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race race-wake bench bench-short run-bench clean
+.PHONY: ci fmt vet lint build sessionbench-test test race race-wake bench bench-short run-bench clean
 
-ci: fmt vet lint build race race-wake bench-short
+ci: fmt vet lint build sessionbench-test race race-wake bench-short
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -22,6 +22,13 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# The session benchmark's own suite (its own module): among others, it
+# checks bit for bit that a replay through timing wrappers, which poll the
+# governor's operating points on every event, equals the public run, which
+# polls only after a move.
+sessionbench-test:
+	cd sessionbench && $(GO) test .
 
 test:
 	$(GO) test ./...

@@ -23,8 +23,9 @@
 //
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/seg, internal/monitor, internal/sim, and
-// internal/hw, which builds every job's device mirror). Test
+// internal/trace, internal/seg, internal/monitor, internal/sim,
+// internal/hw, which builds every job's device mirror, and internal/energy,
+// which holds the mirror's meters). Test
 // files are skipped; an ignored error in a test is an assertion choice,
 // not a recovery bug, and tests may legitimately time out on the wall
 // clock.
@@ -43,7 +44,7 @@ import (
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/seg", "internal/monitor", "internal/sim",
-	"internal/hw",
+	"internal/hw", "internal/energy",
 }
 
 // finding is one lint violation.

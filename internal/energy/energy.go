@@ -39,7 +39,15 @@ type Sample struct {
 
 // NewMeter creates a meter attached to the simulation clock.
 func NewMeter(eng *sim.Engine, name string) *Meter {
-	return &Meter{eng: eng, name: name, lastEdge: eng.Now()}
+	m := new(Meter)
+	m.Init(eng, name)
+	return m
+}
+
+// Init makes m a fresh meter attached to the simulation clock, as NewMeter
+// does, so a caller can lay out many meters in one block of its own.
+func (m *Meter) Init(eng *sim.Engine, name string) {
+	*m = Meter{eng: eng, name: name, lastEdge: eng.Now()}
 }
 
 // Name returns the meter's identifier.

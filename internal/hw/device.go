@@ -110,21 +110,36 @@ type Device struct {
 // NewDevice instantiates spec with an identifier; the device starts healthy,
 // idle, at the nominal DVFS state.
 func NewDevice(eng *sim.Engine, id string, spec Spec) *Device {
-	d := &Device{Spec: spec, ID: id, eng: eng, healthy: true}
-	d.meter = energy.NewMeter(eng, id)
+	d := new(Device)
+	d.init(eng, id, spec, energy.NewMeter(eng, id))
+	return d
+}
+
+// init makes d a healthy, idle device at the nominal DVFS state, metered
+// by m.
+func (d *Device) init(eng *sim.Engine, id string, spec Spec, m *energy.Meter) {
+	*d = Device{Spec: spec, ID: id, eng: eng, meter: m, healthy: true}
 	d.rescale()
 	d.updatePower()
-	return d
 }
 
 // Mirror instantiates a fresh copy of every reference device on eng, in
 // order: same ID and Spec, but healthy, idle, at the nominal DVFS state and
 // with its own meter. It is how a job gets a private view of the shared
-// fleet without rebuilding the chassis around it.
+// fleet without rebuilding the chassis around it. The devices and their
+// meters share one block, so a mirror costs two allocations whatever the
+// fleet size.
 func Mirror(eng *sim.Engine, ref []*Device) []*Device {
+	block := make([]struct {
+		dev   Device
+		meter energy.Meter
+	}, len(ref))
 	out := make([]*Device, len(ref))
 	for i, d := range ref {
-		out[i] = NewDevice(eng, d.ID, d.Spec)
+		b := &block[i]
+		b.meter.Init(eng, d.ID)
+		b.dev.init(eng, d.ID, d.Spec, &b.meter)
+		out[i] = &b.dev
 	}
 	return out
 }

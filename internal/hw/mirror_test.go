@@ -81,3 +81,20 @@ func TestMirrorEqualsFreshPlatform(t *testing.T) {
 		})
 	}
 }
+
+// Mirroring the cloud fleet costs a fixed handful of allocations, however
+// many devices it holds: the devices and their meters come in one block.
+func TestMirrorAllocs(t *testing.T) {
+	box, err := StandardCloudBox(sim.NewEngine(), "recs0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []*Device
+	for _, ms := range box.Microservers() {
+		ref = append(ref, ms.Device)
+	}
+	clock := sim.NewEngine()
+	if n := testing.AllocsPerRun(100, func() { Mirror(clock, ref) }); n > 3 {
+		t.Fatalf("mirroring %d devices took %v allocations, want <= 3", len(ref), n)
+	}
+}

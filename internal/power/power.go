@@ -157,12 +157,15 @@ func SDCProbability(level int) float64 {
 // every admitted task, across all concurrently executing jobs. It is the
 // sibling of the engine's core-admission ledger and is safe for concurrent
 // use. Each device has one slot in a map whose keys are fixed at
-// construction, so a call makes a single lookup. Two reads take no lock:
-// OperatingPoint, read by every runtime on every event, loads the slot's
-// atomic state index (and a governor that never throttles answers without
-// the lookup), and Draw loads the fleet draw that every change re-publishes
-// under mu. Every write happens under mu. IDs the ledger was not built with
-// are refused, draw nothing and never throttle a sibling.
+// construction, so a call makes a single lookup. Three reads take no lock:
+// OperatingPoint loads the slot's atomic state index (and a governor that
+// never throttles answers without the lookup), Rescales loads the count of
+// operating-point changes, which a runtime compares before each event to
+// learn whether any point moved since its last sync, and Draw loads the
+// fleet draw that every change re-publishes under mu. Every write happens
+// under mu; a point is written before the rescale count is bumped, so a
+// reader that sees the new count sees the new point. IDs the ledger was
+// not built with are refused, draw nothing and never throttle a sibling.
 type Ledger struct {
 	mu   sync.Mutex
 	capW energy.Watts // fixed at construction
@@ -176,7 +179,7 @@ type Ledger struct {
 	draw      atomic.Uint64 // float64 bits of idleTotal+dynDraw
 	peakW     energy.Watts
 	stalls    uint64
-	rescales  uint64
+	rescales  atomic.Uint64 // operating-point changes, bumped after the point is written
 	gen       chan struct{} // handed out by Changed, closed by the next change; nil until taken
 }
 
@@ -282,12 +285,9 @@ func (l *Ledger) Stalls() uint64 {
 	return l.stalls
 }
 
-// Rescales counts governor operating-point changes.
-func (l *Ledger) Rescales() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rescales
-}
+// Rescales counts governor operating-point changes. It takes no lock, and
+// every change stores its new point before the count moves.
+func (l *Ledger) Rescales() uint64 { return l.rescales.Load() }
 
 // OperatingPoint returns the DVFS state index the governor currently
 // prescribes for a device (0 = nominal, also for unknown devices). Only
@@ -460,7 +460,7 @@ func (l *Ledger) stepDownLocked(d *ledgerDev) bool {
 		return false
 	}
 	d.point.Add(1)
-	l.rescales++
+	l.rescales.Add(1)
 	return true
 }
 
@@ -481,6 +481,6 @@ func (l *Ledger) unthrottleLocked() {
 	}
 	if best != nil {
 		best.point.Add(-1)
-		l.rescales++
+		l.rescales.Add(1)
 	}
 }

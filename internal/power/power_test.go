@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -386,5 +387,84 @@ func TestLedgerDrawTracksChanges(t *testing.T) {
 		if got := l.Draw(); got != s.want {
 			t.Fatalf("step %d: draw %v, want %v", i, got, s.want)
 		}
+	}
+}
+
+// TestLedgerRescalesCountsEveryMove checks that Rescales equals the number
+// of operating-point changes, step by step over a seeded run of grants,
+// refusals and releases, and that it can be read without the ledger mutex
+// while other goroutines drive the governor. Run under -race.
+func TestLedgerRescalesCountsEveryMove(t *testing.T) {
+	devs := testDevices(t)
+	ids := []string{"cpu0", "fpga0"}
+	l := NewLedger(40, devs, PackAndThrottle)
+	r := rand.New(rand.NewSource(17))
+	points := func() []int {
+		ps := make([]int, len(ids))
+		for i, id := range ids {
+			ps[i] = l.OperatingPoint(id)
+		}
+		return ps
+	}
+	held := map[string]energy.Watts{}
+	moves := uint64(0)
+	before := points()
+	for step := 0; step < 400; step++ {
+		id := ids[r.Intn(len(ids))]
+		if w := energy.Watts(1 + r.Intn(20)); r.Intn(2) == 0 {
+			if l.TryDraw(id, w) {
+				held[id] += w
+			}
+		} else {
+			w = min(w, held[id])
+			held[id] -= w
+			l.ReleaseDraw(id, w)
+		}
+		after := points()
+		for i := range after {
+			if d := after[i] - before[i]; d != 0 {
+				moves += uint64(max(d, -d))
+			}
+		}
+		before = after
+		if got := l.Rescales(); got != moves {
+			t.Fatalf("step %d: Rescales %d, %d operating-point changes", step, got, moves)
+		}
+	}
+	if moves < 10 {
+		t.Fatalf("only %d operating-point changes: the run does not exercise the governor", moves)
+	}
+
+	l = NewLedger(40, devs, PackAndThrottle)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if l.TryDraw("cpu0", 20) {
+					l.ReleaseDraw("cpu0", 20)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := uint64(0)
+		for i := 0; i < 2000; i++ {
+			n := l.Rescales()
+			if n < last {
+				t.Errorf("Rescales went back from %d to %d", last, n)
+				return
+			}
+			last = n
+		}
+	}()
+	wg.Wait()
+	// Every change moves the one two-point ladder by one rung, so the count
+	// has the parity of the final point and is at least as large.
+	if n, p := l.Rescales(), uint64(l.OperatingPoint("cpu0")); n < p || n%2 != p%2 {
+		t.Fatalf("Rescales %d cannot end at operating point %d", n, p)
 	}
 }

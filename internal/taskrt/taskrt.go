@@ -119,12 +119,22 @@ type Admission interface {
 // for a device; the runtime applies it to its platform mirror before
 // scoring, so throttling reshapes both execution time and draw.
 // power.Ledger implements this; implementations must be safe for
-// concurrent use.
+// concurrent use. One that also implements RescaleCounter is polled only
+// when a point moved.
 type PowerAdmission interface {
 	TryDraw(deviceID string, watts energy.Watts) bool
 	ReleaseDraw(deviceID string, watts energy.Watts)
 	Changed() <-chan struct{}
 	OperatingPoint(deviceID string) int
+}
+
+// RescaleCounter is an optional side of a PowerAdmission: Rescales counts
+// every operating-point change, and each change stores its new point
+// before the count moves. SetPowerAdmission looks for it once. A runtime
+// whose power admission has it polls OperatingPoint for its devices only
+// when the count moved since its last poll; without it, every sync polls.
+type RescaleCounter interface {
+	Rescales() uint64
 }
 
 // Hooks observe the task lifecycle. Hooks registered with AddHooks are
@@ -386,6 +396,9 @@ type Runtime struct {
 
 	adm     Admission      // nil: sole owner of its devices
 	pow     PowerAdmission // nil: no fleet watt budget
+	moves   RescaleCounter // pow's change count; nil: poll on every sync
+	synced  uint64         // moves.Rescales() loaded before the last poll
+	polled  bool           // the operating points were polled at least once
 	hooks   []Hooks
 	held    []int          // admission grants currently held, by device slot
 	heldW   []energy.Watts // watt grants currently held, by device slot
@@ -479,7 +492,11 @@ func (r *Runtime) SetAdmission(a Admission) { r.adm = a }
 // SetPowerAdmission installs the shared fleet watt ledger. Must be called
 // before the first Submit. With no power admission placements are gated by
 // core capacity alone — the historical behaviour.
-func (r *Runtime) SetPowerAdmission(p PowerAdmission) { r.pow = p }
+func (r *Runtime) SetPowerAdmission(p PowerAdmission) {
+	r.pow = p
+	r.moves, _ = p.(RescaleCounter)
+	r.polled = false
+}
 
 // SetRetryPolicy sets the default failure attempt budget (extra executions
 // after a crash or detected corruption; Task.Retry overrides per task) and
@@ -824,10 +841,19 @@ func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 // throttled (or restored) operating points. Tasks already executing keep
 // the span and energy they were scheduled with; only new placements are
 // reshaped — the DVFS transition model. It reports whether any device
-// changed state.
+// changed state. With a RescaleCounter it polls only on the first sync and
+// when the count moved: the count is loaded before the poll, so a move
+// racing the poll leaves the count ahead and is synced next time.
 func (r *Runtime) applyOperatingPoints() bool {
 	if r.pow == nil {
 		return false
+	}
+	if r.moves != nil {
+		n := r.moves.Rescales()
+		if r.polled && n == r.synced {
+			return false
+		}
+		r.synced, r.polled = n, true
 	}
 	moved := false
 	for _, dev := range r.devices {
@@ -1572,7 +1598,8 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		// all it could without a stall, another round would place nothing.
 		// What it cannot see is a sibling job: a stalled dispatch (also the
 		// one before a park) retries on every event, and operating points
-		// the governor moved are synced before every event.
+		// the governor moved since the last sync are synced before the next
+		// event.
 		if r.applyOperatingPoints() || first || r.blocked {
 			r.blocked = false
 			r.place()

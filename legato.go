@@ -57,6 +57,7 @@ import (
 	"legato/internal/obs"
 	"legato/internal/power"
 	"legato/internal/secure"
+	"legato/internal/seg"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 	"legato/internal/trace"
@@ -778,6 +779,7 @@ type Job struct {
 	submitted int
 	secureIO  int64 // bytes sealed/unsealed
 	started   bool
+	deps      []*taskrt.Data // chunk the builders' dependency lists are carved from
 
 	waitOnce sync.Once
 	report   *Report
@@ -987,6 +989,25 @@ func (j *Job) diverseClasses(t *Task) []hw.Class {
 
 // taskDeps are a task's data regions, resolved.
 type taskDeps struct{ in, out, inout []*taskrt.Data }
+
+// carveLocked copies a task's regions into the job's dependency store and
+// returns the copy clipped to its length, so the task's runtime node owns
+// its lists without an allocation of its own. The store grows like an
+// internal/seg store: a full chunk stays with the nodes pointing into it
+// and the next one is twice as large, from seg.MinSegment up to
+// seg.MaxSegment regions (or the task's own count, if larger).
+func (j *Job) carveLocked(regs []*taskrt.Data) []*taskrt.Data {
+	if len(regs) == 0 {
+		return nil
+	}
+	if cap(j.deps)-len(j.deps) < len(regs) {
+		next := min(max(2*cap(j.deps), seg.MinSegment), seg.MaxSegment)
+		j.deps = make([]*taskrt.Data, 0, max(next, len(regs)))
+	}
+	n := len(j.deps)
+	j.deps = append(j.deps, regs...)
+	return j.deps[n:len(j.deps):len(j.deps)]
+}
 
 // Submit adds a task to the job, expanding replication and security
 // requirements into the underlying task graph.
@@ -1239,10 +1260,16 @@ func (j *Job) buildReport(res *taskrt.Result) {
 // TaskBuilder accumulates one task fluently; Submit finalises it. Builder
 // errors (foreign handles) surface at Submit.
 type TaskBuilder struct {
-	job  *Job
-	t    Task
-	deps taskDeps // regions taken straight from the handles
-	err  error
+	job *Job
+	t   Task
+	// The regions taken straight from the handles, inputs first, then
+	// outputs, then in-outs: the first n of inline, or spill once a task
+	// names more. The builder keeps no slice of inline, so it can live on
+	// its caller's stack.
+	inline       [4]*taskrt.Data
+	spill        []*taskrt.Data
+	n, nIn, nOut int
+	err          error
 }
 
 // Task starts a fluent task declaration on the job.
@@ -1270,9 +1297,12 @@ func (b *TaskBuilder) Priority(p int) *TaskBuilder { b.t.Priority = p; return b 
 // Do attaches a completion callback.
 func (b *TaskBuilder) Do(fn func()) *TaskBuilder { b.t.Fn = fn; return b }
 
-// handles appends the regions behind hs to dst, recording the first
-// foreign or invalid handle as the builder's error.
-func (b *TaskBuilder) handles(dst []*taskrt.Data, kind string, hs []DataHandle) []*taskrt.Data {
+// handles inserts the regions behind hs at index at of the builder's
+// regions, the end of their kind's group, recording the first foreign or
+// invalid handle as the builder's error. It returns how many regions it
+// inserted.
+func (b *TaskBuilder) handles(at int, kind string, hs []DataHandle) int {
+	n := 0
 	for _, h := range hs {
 		if !h.Valid() {
 			b.err = fmt.Errorf("legato: task %q: invalid %s handle", b.t.Name, kind)
@@ -1283,26 +1313,49 @@ func (b *TaskBuilder) handles(dst []*taskrt.Data, kind string, hs []DataHandle) 
 				b.t.Name, kind, h.Name(), h.job.name)
 			continue
 		}
-		dst = append(dst, h.d)
+		regs := b.grow()
+		copy(regs[at+n+1:], regs[at+n:])
+		regs[at+n] = h.d
+		n++
 	}
-	return dst
+	return n
+}
+
+// grow makes room for one more region at the end and returns all of them.
+func (b *TaskBuilder) grow() []*taskrt.Data {
+	if b.n++; b.n <= len(b.inline) {
+		return b.inline[:b.n]
+	}
+	if b.spill == nil {
+		b.spill = append(make([]*taskrt.Data, 0, 2*len(b.inline)), b.inline[:]...)
+	}
+	b.spill = append(b.spill, nil)
+	return b.spill
+}
+
+// regs returns the builder's regions.
+func (b *TaskBuilder) regs() []*taskrt.Data {
+	if b.n > len(b.inline) {
+		return b.spill
+	}
+	return b.inline[:b.n]
 }
 
 // In declares read dependences.
 func (b *TaskBuilder) In(hs ...DataHandle) *TaskBuilder {
-	b.deps.in = b.handles(b.deps.in, "input", hs)
+	b.nIn += b.handles(b.nIn, "input", hs)
 	return b
 }
 
 // Out declares write dependences.
 func (b *TaskBuilder) Out(hs ...DataHandle) *TaskBuilder {
-	b.deps.out = b.handles(b.deps.out, "output", hs)
+	b.nOut += b.handles(b.nIn+b.nOut, "output", hs)
 	return b
 }
 
 // InOut declares read-write dependences.
 func (b *TaskBuilder) InOut(hs ...DataHandle) *TaskBuilder {
-	b.deps.inout = b.handles(b.deps.inout, "inout", hs)
+	b.handles(b.n, "inout", hs)
 	return b
 }
 
@@ -1340,9 +1393,12 @@ func (b *TaskBuilder) Submit() error {
 	if b.err != nil {
 		return b.err
 	}
-	b.job.mu.Lock()
-	defer b.job.mu.Unlock()
-	return b.job.submitLocked(&b.t, &b.deps)
+	j := b.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	regs := j.carveLocked(b.regs())
+	in, out := b.nIn, b.nIn+b.nOut
+	return j.submitLocked(&b.t, &taskDeps{in: regs[:in:in], out: regs[in:out:out], inout: regs[out:]})
 }
 
 // Report is the outcome of a job run.

@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build sessionbench-test test race race-wake bench bench-short run-bench clean
+.PHONY: ci fmt vet lint build examples sessionbench-test test race race-wake bench bench-short run-bench clean
 
-ci: fmt vet lint build sessionbench-test race race-wake bench-short
+ci: fmt vet lint build examples sessionbench-test race race-wake bench-short
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -22,6 +22,16 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# The public-API examples, run end to end; each exits nonzero on any
+# failure it detects.
+EXAMPLES = quickstart multijob secure-iot resilient powercap hedging
+
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 # The session benchmark's own suite (its own module): among others, it
 # checks bit for bit that a replay through timing wrappers, which poll the

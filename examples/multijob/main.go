@@ -97,6 +97,6 @@ func main() {
 	fmt.Printf("session: %d jobs completed, %d cancelled, %d tasks\n",
 		st.JobsCompleted, st.JobsCancelled, st.TasksCompleted)
 	fmt.Printf("fleet time: %v serial-equivalent vs %v concurrent → %.2fx throughput\n",
-		st.TotalJobTime, st.SessionMakespan, st.Speedup)
+		st.TotalJobTime, st.SessionMakespan, st.Speedup())
 	fmt.Printf("admission stalls: %d (0 = contention-free overlap)\n", st.AdmissionStalls)
 }

@@ -54,12 +54,22 @@ var (
 	ErrAlreadySubmitted = errors.New("engine: job already submitted")
 )
 
+// Fixed engine parameters.
+const (
+	// queueDepth bounds the submission queue.
+	queueDepth = 4096
+	// retryBudget is the per-task failure attempt budget under fault
+	// injection; Task.Retry overrides it per task.
+	retryBudget = 3
+	// retryBackoff is the base re-placement backoff on the job's virtual
+	// clock, doubled on every consecutive failure.
+	retryBackoff = time.Millisecond
+)
+
 // Config parametrises an Engine.
 type Config struct {
 	// Workers is the number of jobs executed concurrently (default 4).
 	Workers int
-	// QueueDepth bounds the submission queue (default 4096).
-	QueueDepth int
 	// Policy is the placement objective used by every job's scheduler.
 	Policy taskrt.Policy
 	// Fleet lists the reference devices defining shared capacity. Every
@@ -77,12 +87,6 @@ type Config struct {
 	// job's private clock, and the injector applies each global fault
 	// (fleet capacity loss) exactly once.
 	Faults *faults.Plan
-	// RetryBudget is the default per-task failure attempt budget under
-	// fault injection (default 3); Task.Retry overrides per task.
-	RetryBudget int
-	// RetryBackoff is the base re-placement backoff, doubled on every
-	// consecutive failure (default 1ms of virtual time).
-	RetryBackoff sim.Time
 	// PowerCapW bounds the modelled fleet draw (static idle power of every
 	// healthy device plus all granted dynamic task power) in watts; zero or
 	// negative means uncapped. Placements that would breach the cap park on
@@ -149,15 +153,14 @@ type Job struct {
 	devices []*hw.Device
 	eng     *Engine
 
-	mu       sync.Mutex
-	state    State
-	timeout  time.Duration
-	ctx      context.Context
-	cancel   context.CancelFunc
-	result   *taskrt.Result
-	err      error
-	fleetPos sim.Time // fleet-clock position at which the job began
-	done     chan struct{}
+	mu      sync.Mutex
+	state   State
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelFunc
+	result  *taskrt.Result
+	err     error
+	done    chan struct{}
 }
 
 // Runtime exposes the job's private scheduler for task submission and
@@ -224,14 +227,6 @@ func (j *Job) Wait(ctx context.Context) (*taskrt.Result, error) {
 	return j.result, j.err
 }
 
-// FleetStart returns the fleet-clock position at which the job began
-// occupying the fleet (valid once the job is terminal).
-func (j *Job) FleetStart() sim.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fleetPos
-}
-
 func (j *Job) finish(res *taskrt.Result, err error) {
 	j.mu.Lock()
 	switch {
@@ -280,7 +275,8 @@ type Stats struct {
 	// SessionMakespan is the fleet time the engine actually needed (max
 	// worker fleet clock).
 	SessionMakespan sim.Time
-	// AdmissionStalls counts failed admission attempts (contention).
+	// AdmissionStalls counts failed admission attempts (contention; zero
+	// means the lane estimate of SessionMakespan is exact).
 	AdmissionStalls uint64
 	// TasksRetried counts task executions re-queued after a crash or a
 	// detected corruption, across all jobs.
@@ -345,16 +341,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
 	ref := cfg.Fleet
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Millisecond
-	}
 	ledger := power.NewLedger(energy.Watts(cfg.PowerCapW), ref, cfg.Governor)
 	if ledger.Capped() && ledger.Cap() <= ledger.IdleWatts() {
 		// The idle floor alone exhausts the budget: every placement would
@@ -368,7 +355,7 @@ func New(cfg Config) (*Engine, error) {
 		power:    ledger,
 		ref:      ref,
 		devScope: make(map[string]string, len(ref)),
-		queue:    make(chan *Job, cfg.QueueDepth),
+		queue:    make(chan *Job, queueDepth),
 		lanes:    make([]sim.Time, cfg.Workers),
 	}
 	for _, d := range ref {
@@ -688,7 +675,7 @@ func (e *Engine) wireFaults(j *Job) {
 	if e.injector == nil {
 		return
 	}
-	j.rt.SetRetryPolicy(e.cfg.RetryBudget, e.cfg.RetryBackoff)
+	j.rt.SetRetryPolicy(retryBudget, retryBackoff)
 	sampler := e.injector.Sampler(int64(j.ID))
 	j.rt.SetCorruptor(func(rec taskrt.Record) bool {
 		return sampler(rec.Class, power.SDCProbability(rec.Undervolt))
@@ -784,7 +771,7 @@ func (e *Engine) Submit(ctx context.Context, j *Job) error {
 		e.stats.JobsSubmitted--
 		e.mu.Unlock()
 		j.finish(nil, ErrQueueFull)
-		return fmt.Errorf("engine: queue holds %d jobs: %w", e.cfg.QueueDepth, ErrQueueFull)
+		return fmt.Errorf("engine: queue holds %d jobs: %w", queueDepth, ErrQueueFull)
 	}
 }
 
@@ -847,10 +834,6 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 		e.stats.JobsFailed++
 	}
 	e.mu.Unlock()
-
-	j.mu.Lock()
-	j.fleetPos = start
-	j.mu.Unlock()
 
 	if reg := e.cfg.Registry; reg != nil {
 		scope := "job/" + j.Name

@@ -412,3 +412,50 @@ func TestJobMirrorsCarryFleetIDs(t *testing.T) {
 		}
 	}
 }
+
+// The engine's retry policy under a fault plan: a Critical task without
+// its own Retry budget that is out-voted on every execution is retried
+// exactly 3 times, each re-placement waits 1, 2 and then 4 ms of virtual
+// backoff after its retry, and the job then fails with
+// ErrRetriesExhausted. Replays that wire a job's runtime by hand copy
+// these values.
+func TestEngineRetryPolicyDefaults(t *testing.T) {
+	always := ft.SDCModel{hw.CPUx86: 1, hw.CPUARM: 1, hw.GPU: 1, hw.FPGA: 1, hw.DFE: 1}
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testFleet(),
+		Faults: &faults.Plan{SDC: always, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	j, err := e.NewJob("doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retried, placed []sim.Time
+	j.Runtime().AddHooks(taskrt.Hooks{
+		Retried: func(_ string, _ int, reason string, at sim.Time) {
+			if reason != "sdc" {
+				t.Errorf("retry reason %q, want sdc", reason)
+			}
+			retried = append(retried, at)
+		},
+		Placed: func(_, _ string, _ int, at sim.Time) { placed = append(placed, at) },
+	})
+	if err := j.Runtime().Submit(taskrt.Task{Name: "vote", Gops: 10, Critical: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); !errors.Is(err, taskrt.ErrRetriesExhausted) {
+		t.Fatalf("job error %v, want ErrRetriesExhausted", err)
+	}
+	if len(retried) != 3 || len(placed) != 4 {
+		t.Fatalf("%d retries and %d placements, want 3 and 4", len(retried), len(placed))
+	}
+	for k, at := range retried {
+		if wait, want := placed[k+1]-at, time.Millisecond<<k; wait != want {
+			t.Errorf("re-placement %d waited %v after its retry, want %v", k+1, wait, want)
+		}
+	}
+}

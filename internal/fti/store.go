@@ -161,9 +161,6 @@ func (s *Store) FailNode(n int) {
 	s.failedNodes[n] = true
 }
 
-// RepairNode marks a failed node as replaced (empty local storage).
-func (s *Store) RepairNode(n int) { delete(s.failedNodes, n) }
-
 // localPut writes a file to node n's local store, charging NVMe write time
 // to the calling process. remote=true additionally charges both NICs.
 func (s *Store) localPut(p *sim.Proc, n int, name string, f *file, remote bool, fromNode int) {

@@ -9,7 +9,6 @@ package heats
 
 import (
 	"fmt"
-	"sort"
 
 	"legato/internal/cluster"
 	"legato/internal/monitor"
@@ -283,11 +282,4 @@ func (s *Scheduler) Run() (sim.Time, error) {
 		return s.lastDone, fmt.Errorf("heats: %d tasks never completed (%d queued)", s.pending, len(s.queue))
 	}
 	return s.lastDone, nil
-}
-
-// NodesByName returns cluster nodes sorted by name (test helper).
-func NodesByName(cl *cluster.Cluster) []*cluster.Node {
-	nodes := append([]*cluster.Node(nil), cl.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	return nodes
 }

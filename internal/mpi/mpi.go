@@ -301,6 +301,3 @@ func (r *Rank) Bcast(root int, payload any, size int64) any {
 
 // SizeOfFloat64s returns the modelled wire size of a float64 slice.
 func SizeOfFloat64s(xs []float64) int64 { return int64(8 * len(xs)) }
-
-// SizeOfBytes returns the modelled wire size of a byte slice.
-func SizeOfBytes(bs []byte) int64 { return int64(len(bs)) }

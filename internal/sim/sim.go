@@ -253,6 +253,3 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	return e.now
 }
-
-// RunFor runs for a span of virtual time from the current clock.
-func (e *Engine) RunFor(span Time) Time { return e.RunUntil(e.now + span) }

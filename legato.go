@@ -30,9 +30,7 @@
 //	rep, err := job.Run(ctx)
 //
 // Jobs are context-aware end to end: Run honours cancellation and
-// deadlines, and System.Close drains the engine gracefully. The legacy
-// single-job surface — NewSystem(Config{...}), System.Submit, System.Run —
-// is kept as thin deprecated shims over an implicit job named "main".
+// deadlines, and System.Close drains the engine gracefully.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the full system inventory and the API migration table.
@@ -240,9 +238,8 @@ func WithPolicy(p Policy) Option {
 	return optionFunc(func(s *settings) { s.policy = p })
 }
 
-// WithTEE selects the trusted-execution technology backing secure tasks.
-// Unlike the legacy Config field, the value is honoured verbatim —
-// secure.SoftwareOnly is a real choice, not a sentinel for "default".
+// WithTEE selects the trusted-execution technology backing secure tasks
+// (default secure.SGX).
 func WithTEE(k secure.TEEKind) Option {
 	return optionFunc(func(s *settings) { s.tee = k })
 }
@@ -346,40 +343,6 @@ func withoutObservability() Option {
 	return optionFunc(func(s *settings) { s.noObs = true })
 }
 
-// Config parametrises a System.
-//
-// Deprecated: Config is the legacy all-in-one option; it implements Option
-// so NewSystem(Config{...}) keeps compiling, with the historical quirks
-// intact (zero Policy means MinTime, TEE secure.SoftwareOnly is coerced to
-// SGX). New code should compose WithPlatform, WithPolicy, WithTEE,
-// WithRootKey and WithWorkers instead.
-type Config struct {
-	// Platform selects the hardware substrate (default CloudPlatform).
-	Platform PlatformKind
-	// Policy is the placement objective.
-	Policy Policy
-	// TEE enables secure tasks with the given technology (default SGX).
-	TEE secure.TEEKind
-	// PlatformRootKey seeds enclave key derivation; a default test key is
-	// used when empty (production deployments must set it).
-	PlatformRootKey []byte
-}
-
-func (c Config) apply(s *settings) {
-	s.platform = c.Platform
-	s.policy = c.Policy
-	if c.TEE == secure.SoftwareOnly {
-		s.tee = secure.SGX // historical sentinel behaviour, preserved
-	} else {
-		s.tee = c.TEE
-	}
-	if len(c.PlatformRootKey) > 0 {
-		s.rootKey = append([]byte(nil), c.PlatformRootKey...)
-	} else {
-		s.rootKey = []byte(devRootKey)
-	}
-}
-
 // Requirements are a task's per-requirement knobs (Fig. 1: energy, fault
 // tolerance, security around the programming model).
 type Requirements struct {
@@ -443,7 +406,6 @@ type System struct {
 	evlog  *obs.Collector // ordered event log (nil without WithEventLog)
 
 	mu    sync.Mutex
-	def   *Job // implicit job behind the deprecated single-job surface
 	evsub *obs.Subscription
 }
 
@@ -476,7 +438,7 @@ func buildPlatform(kind PlatformKind, je *sim.Engine) (*hw.RECSBox, *hw.EdgeServ
 
 // NewSystem assembles a stack. With no options it is a cloud platform with
 // the MinEnergy policy, an SGX-backed enclave and a development root key;
-// pass functional options (or a legacy Config value) to override.
+// pass options to override.
 func NewSystem(opts ...Option) (*System, error) {
 	set := defaultSettings()
 	for _, o := range opts {
@@ -555,100 +517,12 @@ func (s *System) TEE() secure.TEEKind { return s.set.tee }
 // Workers reports the engine's concurrency width.
 func (s *System) Workers() int { return s.eng.Workers() }
 
-// SessionStats summarises the engine session across all jobs.
-type SessionStats struct {
-	JobsSubmitted, JobsCompleted, JobsFailed, JobsCancelled int
-	// TasksCompleted counts task executions across completed jobs.
-	TasksCompleted int
-	// EnergyJ sums dynamic task energy across completed jobs.
-	EnergyJ float64
-	// TotalJobTime is the fleet time serial submission would need (sum of
-	// job makespans).
-	TotalJobTime sim.Time
-	// SessionMakespan is the fleet time the engine needed with its
-	// concurrent lanes.
-	SessionMakespan sim.Time
-	// Speedup is TotalJobTime / SessionMakespan.
-	Speedup float64
-	// AdmissionStalls counts admission attempts that lost to a sibling
-	// job (contention signal; zero means the overlap estimate is exact).
-	AdmissionStalls uint64
-	// TasksRetried counts task executions re-queued after crashes or
-	// detected corruptions, across all jobs.
-	TasksRetried int
-	// TasksRestored counts completed tasks re-executed after a device loss
-	// invalidated their un-checkpointed outputs.
-	TasksRestored int
-	// Checkpoints counts committed asynchronous job checkpoints.
-	Checkpoints int
-	// DevicesLost counts devices crashed by the failure process.
-	DevicesLost int
-	// PlatformEnergyJ adds the static (idle) energy of the surviving fleet
-	// over the session makespan to EnergyJ.
-	PlatformEnergyJ float64
-	// AvgPowerW is PlatformEnergyJ over the session makespan.
-	AvgPowerW float64
-	// PowerCapW echoes the configured fleet power cap (0 = uncapped).
-	PowerCapW float64
-	// PeakDrawW is the high-water mark of the modelled fleet draw — never
-	// above PowerCapW when a cap is armed (the peak-draw witness).
-	PeakDrawW float64
-	// PowerStalls counts placements refused by the watt budget.
-	PowerStalls uint64
-	// GovernorRescales counts governor DVFS operating-point changes.
-	GovernorRescales uint64
-	// StragglersDetected counts executions flagged by the tail watchdog
-	// as exceeding the hedge policy's multiple of their expected span.
-	StragglersDetected int
-	// HedgesLaunched counts speculative replicas started across all jobs.
-	HedgesLaunched int
-	// HedgesWon counts replicas that beat their straggling primary.
-	HedgesWon int
-	// HedgesDenied counts replica launches refused by device availability
-	// or the core/watt ledgers (hedges pay their way under the power cap).
-	HedgesDenied int
-	// HedgeWastedJ is the energy burned by cancelled losing executions —
-	// the price of the tail insurance, included in PlatformEnergyJ.
-	HedgeWastedJ float64
-	// DeadlineMisses counts tasks that passed their deadline.
-	DeadlineMisses int
-	// TasksShed counts tasks skipped by graceful degradation.
-	TasksShed int
-}
+// SessionStats re-exports the engine's session summary across all jobs;
+// its Speedup method is TotalJobTime / SessionMakespan.
+type SessionStats = engine.Stats
 
 // Stats snapshots the engine session counters.
-func (s *System) Stats() SessionStats {
-	st := s.eng.Stats()
-	return SessionStats{
-		JobsSubmitted:      st.JobsSubmitted,
-		JobsCompleted:      st.JobsCompleted,
-		JobsFailed:         st.JobsFailed,
-		JobsCancelled:      st.JobsCancelled,
-		TasksCompleted:     st.TasksCompleted,
-		EnergyJ:            st.EnergyJ,
-		TotalJobTime:       st.TotalJobTime,
-		SessionMakespan:    st.SessionMakespan,
-		Speedup:            st.Speedup(),
-		AdmissionStalls:    st.AdmissionStalls,
-		TasksRetried:       st.TasksRetried,
-		TasksRestored:      st.TasksRestored,
-		Checkpoints:        st.Checkpoints,
-		DevicesLost:        st.DevicesLost,
-		PlatformEnergyJ:    st.PlatformEnergyJ,
-		AvgPowerW:          st.AvgPowerW,
-		PowerCapW:          st.PowerCapW,
-		PeakDrawW:          st.PeakDrawW,
-		PowerStalls:        st.PowerStalls,
-		GovernorRescales:   st.GovernorRescales,
-		StragglersDetected: st.StragglersDetected,
-		HedgesLaunched:     st.HedgesLaunched,
-		HedgesWon:          st.HedgesWon,
-		HedgesDenied:       st.HedgesDenied,
-		HedgeWastedJ:       st.HedgeWastedJ,
-		DeadlineMisses:     st.DeadlineMisses,
-		TasksShed:          st.TasksShed,
-	}
-}
+func (s *System) Stats() SessionStats { return s.eng.Stats() }
 
 // Fleet exposes the shared admission ledger (capacity, in-use, peak and
 // loss state per device).
@@ -1082,7 +956,7 @@ func (j *Job) submitLocked(t *Task, deps *taskDeps) error {
 			j.secureIO += ioBytes
 			j.mu.Unlock()
 			enclave.RunSecure(func() {
-				if blob, err := enclave.Seal(make([]byte, min64(ioBytes, 1<<16))); err == nil {
+				if blob, err := enclave.Seal(make([]byte, min(ioBytes, 1<<16))); err == nil {
 					_, _ = enclave.Unseal(blob)
 				}
 				if inner != nil {
@@ -1448,75 +1322,4 @@ type Report struct {
 	AvgPowerW float64
 	// Energy is the per-device breakdown.
 	Energy *energy.Report
-}
-
-// defaultJob returns the implicit job behind the deprecated single-job
-// surface, creating it on first use.
-func (s *System) defaultJob() (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.def == nil {
-		j, err := s.NewJob("main")
-		if err != nil {
-			return nil, err
-		}
-		s.def = j
-	}
-	return s.def, nil
-}
-
-// Data declares (or fetches) a named data region on the implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Data.
-func (s *System) Data(name string, size int64) DataHandle {
-	j, err := s.defaultJob()
-	if err != nil {
-		return DataHandle{}
-	}
-	return j.Data(name, size)
-}
-
-// Submit adds a task to the implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Submit or Job.Task.
-func (s *System) Submit(t Task) error {
-	j, err := s.defaultJob()
-	if err != nil {
-		return err
-	}
-	return j.Submit(t)
-}
-
-// Run executes the implicit job and returns its report.
-//
-// Deprecated: create a Job with NewJob and use Job.Run with a context.
-func (s *System) Run() (*Report, error) { return s.RunContext(context.Background()) }
-
-// RunContext executes the implicit job under ctx and returns its report.
-// Afterwards the single-job surface starts a fresh implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Run.
-func (s *System) RunContext(ctx context.Context) (*Report, error) {
-	j, err := s.defaultJob()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.def = nil
-	s.mu.Unlock()
-	return j.Run(ctx)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

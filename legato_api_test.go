@@ -1,8 +1,8 @@
 package legato
 
-// Tests for the redesigned public API: functional options, the multi-job
-// engine surface (Job/Run(ctx)/Stats), DataHandle + TaskBuilder, and the
-// deprecated Config shim's equivalence with the historical behaviour.
+// Tests for the public API: functional options, the multi-job engine
+// surface (Job/Run(ctx)/Stats), and the equivalence of the name-based
+// Job.Submit path with DataHandle + TaskBuilder.
 
 import (
 	"context"
@@ -55,9 +55,8 @@ func TestOptionsCompose(t *testing.T) {
 	}
 }
 
-// TestTEESentinelGone pins the headline fix of the options redesign: with
-// WithTEE the SoftwareOnly value is honoured, while the deprecated Config
-// path keeps its historical SGX coercion so old callers see old behaviour.
+// TestTEESentinelGone pins that WithTEE honours the SoftwareOnly value
+// instead of treating it as a sentinel for SGX.
 func TestTEESentinelGone(t *testing.T) {
 	viaOption, err := NewSystem(WithTEE(secure.SoftwareOnly))
 	if err != nil {
@@ -67,18 +66,10 @@ func TestTEESentinelGone(t *testing.T) {
 	if viaOption.TEE() != secure.SoftwareOnly {
 		t.Fatalf("WithTEE(SoftwareOnly) coerced to %v", viaOption.TEE())
 	}
-	viaConfig, err := NewSystem(Config{TEE: secure.SoftwareOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaConfig.Close(context.Background())
-	if viaConfig.TEE() != secure.SGX {
-		t.Fatalf("Config shim changed behaviour: tee = %v, want SGX", viaConfig.TEE())
-	}
 }
 
 // submitPipeline builds the same five-task mixed-requirements graph
-// through the legacy string-dependence Submit surface.
+// through the string-dependence Job.Submit path.
 func submitPipeline(t *testing.T, submit func(Task) error) {
 	t.Helper()
 	tasks := []Task{
@@ -97,18 +88,22 @@ func submitPipeline(t *testing.T, submit func(Task) error) {
 	}
 }
 
-// TestDeprecatedShimEquivalence runs the same graph through the old
-// surface (NewSystem(Config), System.Submit, System.Run) and through the
-// new one (options, NewJob, TaskBuilder, Run(ctx)) and requires identical
-// schedules.
+// TestDeprecatedShimEquivalence runs the same graph through the
+// name-based path (Job.Submit with a Task, which the removed single-job
+// shim forwarded to) and through DataHandles and the TaskBuilder, and
+// requires identical schedules.
 func TestDeprecatedShimEquivalence(t *testing.T) {
-	old, err := NewSystem(Config{Policy: MinTime})
+	old, err := NewSystem(WithPolicy(MinTime))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer old.Close(context.Background())
-	submitPipeline(t, old.Submit)
-	oldRep, err := old.Run()
+	oldJob, err := old.NewJob("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitPipeline(t, oldJob.Submit)
+	oldRep, err := oldJob.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +358,8 @@ func TestMonitorAndTraceSurface(t *testing.T) {
 	}
 }
 
-// TestImplicitJobRestarts verifies the deprecated surface can be used
-// again after Run: each Run cycle gets a fresh implicit job.
+// TestImplicitJobRestarts verifies a System keeps serving jobs after one
+// ran: each round builds and runs a fresh job of the same name.
 func TestImplicitJobRestarts(t *testing.T) {
 	sys, err := NewSystem()
 	if err != nil {
@@ -372,10 +367,14 @@ func TestImplicitJobRestarts(t *testing.T) {
 	}
 	defer sys.Close(context.Background())
 	for round := 0; round < 2; round++ {
-		if err := sys.Submit(Task{Name: "t", Gops: 5}); err != nil {
+		job, err := sys.NewJob("main")
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		rep, err := sys.Run()
+		if err := job.Submit(Task{Name: "t", Gops: 5}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		rep, err := job.Run(context.Background())
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
